@@ -32,7 +32,10 @@ std::vector<double> widths_from_params(
     lut::PredictedParams p;
     auto take = [&params](const std::string& key) -> std::optional<double> {
       auto it = params.find(key);
-      if (it == params.end() || it->second <= 0.0) return std::nullopt;
+      // NaN and infinities count as missing, like non-positive values.
+      if (it == params.end() || !std::isfinite(it->second) || it->second <= 0.0) {
+        return std::nullopt;
+      }
       return it->second;
     };
     p.gm = take("gm" + rep);
@@ -133,6 +136,7 @@ SizingOutcome SizingCopilot::size(const Specs& target,
       }
       out.predicted = builder_.parse_decoder(predicted_text);
       // Stage III: parameters -> widths via the LUTs.
+      STAT_REGION("core.copilot.stage3_widths");
       widths = widths_from_params(topo_, tech_, luts_, out.predicted, widths);
     } else {
       // Constant-density refinement: scale every width by the largest

@@ -35,8 +35,9 @@ struct LutSet {
 };
 
 /// Stage III: converts predicted parameter values into one width per match
-/// group.  Groups whose parameters are unusable fall back to the previous
-/// width in `fallback_widths`.
+/// group.  Non-positive and non-finite parameter values count as missing;
+/// groups whose parameters are unusable fall back to the previous width in
+/// `fallback_widths`.
 std::vector<double> widths_from_params(
     const circuit::Topology& topology, const device::Technology& tech,
     const LutSet& luts, const std::map<std::string, double>& params,

@@ -21,50 +21,33 @@ DeviceLut::DeviceLut(const device::MosModel& model, const LutOptions& opt)
   vds_ = vgs_;
 
   const size_t n = vgs_.size(), m = vds_.size();
-  g_id_.reset(n, m);
-  g_gm_.reset(n, m);
-  g_gds_.reset(n, m);
-  g_cds_.reset(n, m);
-  g_cgs_.reset(n, m);
+  std::vector<linalg::MatrixD> grids(5, linalg::MatrixD(n, m));
 
   // Nested DC sweep at the reference width; store per-unit-width values.
   for (size_t i = 0; i < n; ++i) {
     for (size_t j = 0; j < m; ++j) {
       const device::SmallSignal ss =
           model.evaluate(vgs_[i], vds_[j], opt.wref, opt.l);
-      g_id_(i, j) = ss.id / opt.wref;
-      g_gm_(i, j) = ss.gm / opt.wref;
-      g_gds_(i, j) = ss.gds / opt.wref;
-      g_cds_(i, j) = ss.cds / opt.wref;
-      g_cgs_(i, j) = ss.cgs / opt.wref;
+      grids[0](i, j) = ss.id / opt.wref;
+      grids[1](i, j) = ss.gm / opt.wref;
+      grids[2](i, j) = ss.gds / opt.wref;
+      grids[3](i, j) = ss.cds / opt.wref;
+      grids[4](i, j) = ss.cgs / opt.wref;
     }
   }
-
-  s_id_ = linalg::BicubicSpline(vgs_, vds_, g_id_);
-  s_gm_ = linalg::BicubicSpline(vgs_, vds_, g_gm_);
-  s_gds_ = linalg::BicubicSpline(vgs_, vds_, g_gds_);
-  s_cds_ = linalg::BicubicSpline(vgs_, vds_, g_cds_);
-  s_cgs_ = linalg::BicubicSpline(vgs_, vds_, g_cgs_);
+  spline_ = linalg::BicubicSpline(vgs_, vds_, grids);
 }
 
 LutEntry DeviceLut::lookup(double vgs, double vds) const {
-  LutEntry e;
-  e.id = s_id_(vgs, vds);
-  e.gm = s_gm_(vgs, vds);
-  e.gds = s_gds_(vgs, vds);
-  e.cds = s_cds_(vgs, vds);
-  e.cgs = s_cgs_(vgs, vds);
-  return e;
+  double v[5];
+  spline_.evaluate(vgs, vds, v);
+  return LutEntry{v[0], v[1], v[2], v[3], v[4]};
 }
 
 LutEntry DeviceLut::grid_entry(size_t i_vgs, size_t i_vds) const {
-  LutEntry e;
-  e.id = g_id_(i_vgs, i_vds);
-  e.gm = g_gm_(i_vgs, i_vds);
-  e.gds = g_gds_(i_vgs, i_vds);
-  e.cds = g_cds_(i_vgs, i_vds);
-  e.cgs = g_cgs_(i_vgs, i_vds);
-  return e;
+  return LutEntry{spline_.sample(i_vgs, i_vds, 0), spline_.sample(i_vgs, i_vds, 1),
+                  spline_.sample(i_vgs, i_vds, 2), spline_.sample(i_vgs, i_vds, 3),
+                  spline_.sample(i_vgs, i_vds, 4)};
 }
 
 std::pair<double, double> DeviceLut::gmid_range(double vds) const {

@@ -64,10 +64,9 @@ class DeviceLut {
   LutOptions opt_;
   std::vector<double> vgs_;
   std::vector<double> vds_;
-  // One interpolator per output quantity.
-  linalg::BicubicSpline s_id_, s_gm_, s_gds_, s_cds_, s_cgs_;
-  // Raw grids retained for grid_entry and range queries.
-  linalg::MatrixD g_id_, g_gm_, g_gds_, g_cds_, g_cgs_;
+  // One five-channel interpolator over the shared axes, channels in
+  // LutEntry order {Id, gm, gds, Cds, Cgs}; it also holds the raw samples.
+  linalg::BicubicSpline spline_;
 };
 
 }  // namespace ota::lut

@@ -1,8 +1,8 @@
 #include "lut/width_estimator.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <vector>
 
 #include "common/error.hpp"
 
@@ -10,10 +10,23 @@ namespace ota::lut {
 
 namespace {
 
+// Up to one candidate width per predicted parameter, without a heap
+// allocation: the scans below build one per LUT lookup.
+struct Candidates {
+  std::array<double, 5> w{};
+  size_t n = 0;
+
+  void push_back(double v) { w[n++] = v; }
+  size_t size() const { return n; }
+  bool empty() const { return n == 0; }
+  double front() const { return w[0]; }
+  double operator[](size_t i) const { return w[i]; }
+};
+
 // Candidate widths from ratioing predicted absolute parameters against the
 // per-unit-width LUT outputs (Algorithm 1 lines 9-10).
-std::vector<double> candidate_widths(const PredictedParams& p, const LutEntry& e) {
-  std::vector<double> ws;
+Candidates candidate_widths(const PredictedParams& p, const LutEntry& e) {
+  Candidates ws;
   auto push = [&ws](const std::optional<double>& num, double den) {
     if (num && den > 0.0) ws.push_back(*num / den);
   };
@@ -26,7 +39,7 @@ std::vector<double> candidate_widths(const PredictedParams& p, const LutEntry& e
 }
 
 // cost(Vds) = sum over pairs |w_n - w_m| (Algorithm 1 line 11).
-double pairwise_cost(const std::vector<double>& ws) {
+double pairwise_cost(const Candidates& ws) {
   double c = 0.0;
   for (size_t n = 0; n < ws.size(); ++n) {
     for (size_t m = n + 1; m < ws.size(); ++m) {
@@ -61,6 +74,16 @@ VdsScanResult scan_vds(const DeviceLut& lut, const PredictedParams& p,
   return best;
 }
 
+// Throws when a present parameter is NaN or infinite: the gm/Id bisection
+// and the candidate ratios would otherwise turn it into a bogus estimate.
+void require_finite(const PredictedParams& p, const char* what) {
+  for (const auto& q : {p.gm, p.gds, p.cds, p.cgs, p.id}) {
+    if (q && !std::isfinite(*q)) {
+      throw InvalidArgument(std::string(what) + ": parameters must be finite");
+    }
+  }
+}
+
 }  // namespace
 
 std::optional<WidthEstimate> estimate_width(const DeviceLut& lut,
@@ -70,6 +93,7 @@ std::optional<WidthEstimate> estimate_width(const DeviceLut& lut,
   if (!p.gm || !p.id) {
     throw InvalidArgument("estimate_width: gm and id are required for gm/Id");
   }
+  require_finite(p, "estimate_width");
   if (*p.id <= 0.0 || *p.gm <= 0.0) {
     throw InvalidArgument("estimate_width: gm and id must be positive");
   }
@@ -119,6 +143,7 @@ std::optional<WidthEstimate> estimate_width_scan(const DeviceLut& lut,
   if (available < 2) {
     throw InvalidArgument("estimate_width_scan: need at least two parameters");
   }
+  require_finite(p, "estimate_width_scan");
 
   WidthEstimate best;
   best.cost = 1e300;

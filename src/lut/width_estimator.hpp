@@ -42,9 +42,10 @@ struct WidthEstimate {
   int iterations = 0;
 };
 
-/// Paper Algorithm 1.  Requires gm and id (for the gm/Id conversion); throws
-/// InvalidArgument otherwise.  Returns nullopt when the requested gm/Id is
-/// outside the device's achievable range.
+/// Paper Algorithm 1.  Requires gm and id (for the gm/Id conversion), both
+/// positive, and every present parameter finite; throws InvalidArgument
+/// otherwise.  Returns nullopt when the requested gm/Id is outside the
+/// device's achievable range.
 std::optional<WidthEstimate> estimate_width(const DeviceLut& lut,
                                             const PredictedParams& p,
                                             double vdd,
@@ -52,7 +53,8 @@ std::optional<WidthEstimate> estimate_width(const DeviceLut& lut,
 
 /// Fallback: joint scan over the (Vgs, Vds) grid minimizing the pairwise
 /// disagreement of the candidate widths from whichever parameters are
-/// present (needs at least two).  Used when Id or gm is unavailable.
+/// present (needs at least two, all finite; throws InvalidArgument
+/// otherwise).  Used when Id or gm is unavailable.
 std::optional<WidthEstimate> estimate_width_scan(const DeviceLut& lut,
                                                  const PredictedParams& p,
                                                  const WidthEstimatorOptions& opt = {});

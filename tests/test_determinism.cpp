@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
+#include <thread>
 
 #include "common/rng.hpp"
 #include "core/copilot.hpp"
@@ -130,6 +132,67 @@ TEST_F(DeterminismTest, RuntimeStatsCountsIdenticalAcrossThreadCounts) {
   EXPECT_EQ(serial.avg_multi_iterations, par8.avg_multi_iterations);
   EXPECT_EQ(serial.avg_sims_per_design, par8.avg_sims_per_design);
   EXPECT_EQ(serial.total, 8);
+}
+
+TEST_F(DeterminismTest, StageThreeWidthsIdenticalAcrossThreads) {
+  // Stage III evaluates the shared LUTs through const methods with
+  // per-thread scratch: concurrent callers must not perturb each other.
+  const auto topo = circuit::make_5t_ota(tech);
+  const LutSet luts = LutSet::build(tech);
+  std::vector<std::map<std::string, double>> cases;
+  Rng rng(41);
+  for (int k = 0; k < 6; ++k) {
+    std::map<std::string, double> params;
+    for (const auto& group : topo.match_groups) {
+      const auto& mos = topo.netlist.mosfet(group.devices.front());
+      const device::MosModel model(mos.type == device::MosType::Nmos ? tech.nmos
+                                                                     : tech.pmos);
+      const auto ss = model.evaluate(rng.uniform(0.35, 0.9), rng.uniform(0.2, 1.0),
+                                     rng.log_uniform(1e-6, 30e-6), mos.l);
+      const std::string& rep = mos.name;
+      params["gm" + rep] = ss.gm * rng.uniform(0.9, 1.1);
+      params["gds" + rep] = ss.gds * rng.uniform(0.9, 1.1);
+      params["Cds" + rep] = ss.cds;
+      params["Cgs" + rep] = ss.cgs;
+      // Every third case drops Id, sending the groups down the scan fallback.
+      if (k % 3 != 2) params["Id" + rep] = ss.id;
+    }
+    cases.push_back(std::move(params));
+  }
+  const std::vector<double> fallback(topo.match_groups.size(), 5e-6);
+  auto run = [&](std::vector<std::vector<double>>& out, size_t offset) {
+    out.resize(cases.size());
+    for (size_t n = 0; n < cases.size(); ++n) {
+      const size_t k = (n + offset) % cases.size();
+      out[k] = widths_from_params(topo, tech, luts, cases[k], fallback);
+    }
+  };
+  std::vector<std::vector<double>> serial;
+  run(serial, 0);
+  size_t estimated = 0;
+  for (const auto& widths : serial) {
+    for (size_t g = 0; g < widths.size(); ++g) estimated += widths[g] != fallback[g];
+  }
+  EXPECT_GT(estimated, serial.size());  // the LUT path ran, not just fallbacks
+
+  constexpr int kThreads = 8;
+  std::vector<std::vector<std::vector<double>>> results(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] { run(results[t], static_cast<size_t>(t)); });
+  }
+  for (auto& th : threads) th.join();
+
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(results[t].size(), serial.size());
+    for (size_t k = 0; k < serial.size(); ++k) {
+      ASSERT_EQ(results[t][k].size(), serial[k].size());
+      EXPECT_EQ(std::memcmp(results[t][k].data(), serial[k].data(),
+                            serial[k].size() * sizeof(double)),
+                0)
+          << "thread " << t << " case " << k;
+    }
+  }
 }
 
 TEST_F(DeterminismTest, TargetSeedsDiffer) {

@@ -4,9 +4,45 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <cstdlib>
+#include <new>
 
 #include "common/error.hpp"
+#include "lut/width_estimator.hpp"
+
+// Sanitizer builds replace the allocator; skip the allocation-counting
+// override there and keep the behavioural assertions.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define OTA_TEST_SANITIZED 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define OTA_TEST_SANITIZED 1
+#endif
+#endif
+
+#ifndef OTA_TEST_SANITIZED
+namespace {
+std::atomic<uint64_t> g_alloc_count{0};
+}  // namespace
+
+// Counting global allocator: lets LookupsAreAllocationFree assert that LUT
+// queries and both width estimators perform zero heap allocations.  The
+// default operator new[] forwards here, so scalar overrides cover arrays.
+// All three stay out of line: inlined into gtest's registration code, GCC 12
+// pairs the malloc() and free() inside them with the new/delete expressions
+// there and reports a mismatch that is not one.
+__attribute__((noinline)) void* operator new(std::size_t size) {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+__attribute__((noinline)) void operator delete(void* p) noexcept { std::free(p); }
+__attribute__((noinline)) void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+#endif
 
 namespace ota::lut {
 namespace {
@@ -39,6 +75,53 @@ TEST_F(LutTest, GridEntriesMatchModelAtKnots) {
       EXPECT_NEAR(e.gm, ss.gm / 700e-9, std::fabs(ss.gm / 700e-9) * 1e-12);
     }
   }
+}
+
+TEST_F(LutTest, LookupAtEveryKnotEqualsGridEntry) {
+  const auto& vg = lut.vgs_axis();
+  const auto& vd = lut.vds_axis();
+  for (size_t i = 0; i < vg.size(); ++i) {
+    for (size_t j = 0; j < vd.size(); ++j) {
+      const LutEntry e = lut.lookup(vg[i], vd[j]);
+      const LutEntry g = lut.grid_entry(i, j);
+      EXPECT_EQ(e.id, g.id) << i << "," << j;
+      EXPECT_EQ(e.gm, g.gm) << i << "," << j;
+      EXPECT_EQ(e.gds, g.gds) << i << "," << j;
+      EXPECT_EQ(e.cds, g.cds) << i << "," << j;
+      EXPECT_EQ(e.cgs, g.cgs) << i << "," << j;
+    }
+  }
+}
+
+TEST_F(LutTest, LookupsAreAllocationFree) {
+  const auto ss = nmos.evaluate(0.55, 0.6, 4e-6, 180e-9);
+  PredictedParams full;
+  full.gm = ss.gm;
+  full.gds = ss.gds;
+  full.cds = ss.cds;
+  full.cgs = ss.cgs;
+  full.id = ss.id;
+  PredictedParams no_id = full;
+  no_id.id.reset();
+  // Warm-up: the first query on a thread sizes its evaluation scratch.
+  (void)lut.lookup(0.5, 0.5);
+#ifndef OTA_TEST_SANITIZED
+  const uint64_t before = g_alloc_count.load();
+#endif
+  double sink = 0.0;
+  for (int k = 0; k < 1000; ++k) {
+    sink += lut.lookup(0.3 + 0.0007 * k, 1.1 - 0.0009 * k).gm;
+  }
+  const auto est = estimate_width(lut, full, tech.vdd);
+  const auto scan = estimate_width_scan(lut, no_id);
+#ifndef OTA_TEST_SANITIZED
+  EXPECT_EQ(g_alloc_count.load(), before);
+#endif
+  EXPECT_GT(sink, 0.0);
+  ASSERT_TRUE(est.has_value());
+  ASSERT_TRUE(scan.has_value());
+  EXPECT_NEAR(est->width, 4e-6, 4e-6 * 0.02);
+  EXPECT_NEAR(scan->width, 4e-6, 4e-6 * 0.05);
 }
 
 TEST_F(LutTest, InterpolationAccuracyOffGrid) {

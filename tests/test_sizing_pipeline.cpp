@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
 #include <map>
 
 #include "core/copilot.hpp"
@@ -90,6 +91,33 @@ TEST_F(PipelineTest, WidthsFromParamsRecoversDatasetWidths) {
   ASSERT_EQ(widths.size(), 3u);
   for (size_t g = 0; g < 3; ++g) {
     EXPECT_NEAR(widths[g], d.widths[g], d.widths[g] * 0.06) << "group " << g;
+  }
+}
+
+TEST_F(PipelineTest, WidthsFromParamsTreatsNonFiniteAsMissing) {
+  // A NaN or infinite parameter behaves exactly like an absent one.
+  const Design& d = dataset_->designs[0];
+  std::map<std::string, double> params;
+  for (const auto& slot : builder_->slots()) {
+    const auto& ss = d.devices.at(slot.device);
+    if (slot.name.rfind("gm", 0) == 0) params[slot.name] = ss.gm;
+    else if (slot.name.rfind("gds", 0) == 0) params[slot.name] = ss.gds;
+    else if (slot.name.rfind("Cds", 0) == 0) params[slot.name] = ss.cds;
+    else if (slot.name.rfind("Cgs", 0) == 0) params[slot.name] = ss.cgs;
+    else params[slot.name] = ss.id;
+  }
+  const std::vector<double> fallback(3, 5e-6);
+  for (const auto& slot : builder_->slots()) {
+    auto missing = params;
+    missing.erase(slot.name);
+    const auto want = widths_from_params(*topo_, *tech_, *luts_, missing, fallback);
+    for (double v : {std::nan(""), std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+      auto bad = params;
+      bad[slot.name] = v;
+      EXPECT_EQ(widths_from_params(*topo_, *tech_, *luts_, bad, fallback), want)
+          << slot.name << " = " << v;
+    }
   }
 }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -121,6 +122,25 @@ TEST_F(WidthEstimatorTest, NonPositiveInputsThrow) {
   PredictedParams p = params_at(0.5, 0.6, 5e-6);
   p.gm = -1e-3;
   EXPECT_THROW((void)estimate_width(lut, p, tech.vdd), ota::InvalidArgument);
+}
+
+TEST_F(WidthEstimatorTest, NonFiniteInputsThrow) {
+  // A NaN gm used to slip past the positivity check and come back as an
+  // engaged zero-width estimate; every non-finite field now throws, in
+  // Algorithm 1 and in the scan fallback alike.
+  const double bad[] = {std::nan(""), std::numeric_limits<double>::infinity(),
+                        -std::numeric_limits<double>::infinity()};
+  std::optional<double> PredictedParams::*fields[] = {
+      &PredictedParams::gm, &PredictedParams::gds, &PredictedParams::cds,
+      &PredictedParams::cgs, &PredictedParams::id};
+  for (double v : bad) {
+    for (auto field : fields) {
+      PredictedParams p = params_at(0.5, 0.6, 5e-6);
+      p.*field = v;
+      EXPECT_THROW((void)estimate_width(lut, p, tech.vdd), ota::InvalidArgument) << v;
+      EXPECT_THROW((void)estimate_width_scan(lut, p), ota::InvalidArgument) << v;
+    }
+  }
 }
 
 class WidthRoundTrip : public ::testing::TestWithParam<std::tuple<double, double>> {};
