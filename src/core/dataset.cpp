@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/stats.hpp"
 #include "par/thread_pool.hpp"
 
 namespace ota::core {
@@ -88,27 +89,33 @@ Attempt run_attempt(circuit::Topology& topo, const device::Technology& tech,
     widths[4] = std::clamp(balanced_cs_width(topo, tech, widths, rng),
                            opt.w_min, opt.w_max);
   }
+  topo.apply_widths(widths);
 
+  // The region verdict reads only the DC linearisation, so it is decided
+  // before any AC matrix is stamped: candidates an enabled filter rejects
+  // (most of them) never pay for the AC sweep, and the survivors get exactly
+  // the metrics spice::evaluate would have measured.
   Attempt a;
-  spice::EvalResult r;
   try {
-    r = spice::evaluate(topo, tech, widths, opt.measure);
+    spice::OperatingPoint op = spice::operating_point(topo, tech);
+    if ((opt.enforce_saturation && !op.saturation_ok) ||
+        (opt.enforce_regions && !op.regions_ok)) {
+      a.kind = AttemptKind::RegionReject;
+      return a;
+    }
+    const spice::AcAnalysis ac(topo.netlist, tech, op.dc);
+    const spice::AcMetrics m =
+        spice::measure_ac(ac, topo.output_node, opt.measure);
+    const Specs specs{m.gain_db, m.bw_3db_hz, m.ugf_hz};
+    if (opt.enforce_spec_range && !range.contains(specs)) {
+      a.kind = AttemptKind::SpecReject;
+      return a;
+    }
+    a.kind = AttemptKind::Accepted;
+    a.design = Design{std::move(widths), specs, std::move(op.devices)};
   } catch (const ConvergenceError&) {
     a.kind = AttemptKind::DcFailure;
-    return a;
   }
-  if ((opt.enforce_saturation && !r.saturation_ok) ||
-      (opt.enforce_regions && !r.regions_ok)) {
-    a.kind = AttemptKind::RegionReject;
-    return a;
-  }
-  const Specs specs{r.metrics.gain_db, r.metrics.bw_3db_hz, r.metrics.ugf_hz};
-  if (opt.enforce_spec_range && !range.contains(specs)) {
-    a.kind = AttemptKind::SpecReject;
-    return a;
-  }
-  a.kind = AttemptKind::Accepted;
-  a.design = Design{std::move(widths), specs, std::move(r.devices)};
   return a;
 }
 
@@ -117,6 +124,7 @@ Attempt run_attempt(circuit::Topology& topo, const device::Technology& tech,
 Dataset generate_dataset(circuit::Topology& topo,
                          const device::Technology& tech, const SpecRange& range,
                          const DataGenOptions& opt) {
+  STAT_REGION("core.dataset.generate");
   Dataset ds;
   ds.topology = topo.name;
 

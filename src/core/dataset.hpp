@@ -64,10 +64,12 @@ struct DataGenOptions {
   /// env, else hardware concurrency).  Results are bit-identical for every
   /// value: each attempt index draws from its own counted RNG stream.
   int threads = 0;
-  /// AC measurement configuration for every candidate evaluation.  Each
-  /// attempt's gain/BW/UGF extraction rides one batched transfer_sweep over
-  /// the cached AC engine; `measure.threads` stays 1 here because the
-  /// attempts themselves are already sharded across the pool.
+  /// AC measurement configuration for the candidates that pass the region
+  /// and saturation filters (the only ones whose AC is measured: rejects are
+  /// decided at the DC operating point).  Each survivor's gain/BW/UGF
+  /// extraction rides one batched transfer_sweep over the cached AC engine;
+  /// `measure.threads` stays 1 here because the attempts themselves are
+  /// already sharded across the pool.
   spice::MeasureOptions measure{};
 };
 

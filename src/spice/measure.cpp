@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/stats.hpp"
 
 namespace ota::spice {
 
@@ -80,6 +81,7 @@ std::optional<double> find_falling_crossing(const AcAnalysis& ac,
 
 AcMetrics measure_ac(const AcAnalysis& ac, const std::string& node,
                      const MeasureOptions& opt) {
+  STAT_REGION("spice.measure");
   AcMetrics m;
   // One batched coarse sweep serves the DC-gain readout and both crossing
   // searches (the pre-batched path re-scanned the grid once per crossing).

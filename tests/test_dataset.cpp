@@ -3,9 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <set>
 
 #include "common/error.hpp"
+#include "common/stats.hpp"
 
 namespace ota::core {
 namespace {
@@ -14,15 +17,52 @@ class DatasetTest : public ::testing::Test {
  protected:
   device::Technology tech = device::Technology::default65nm();
 
-  Dataset small_dataset(const std::string& name, int n = 40) {
+  Dataset small_dataset(const std::string& name, int n = 40, int threads = 0) {
     auto topo = circuit::make_topology(name, tech);
     DataGenOptions opt;
     opt.target_designs = n;
     opt.max_attempts = 20000;
     opt.seed = 7;
+    opt.threads = threads;
     return generate_dataset(topo, tech, SpecRange::for_topology(name), opt);
   }
 };
+
+// 64-bit FNV-1a over the raw bytes of everything a dataset records per
+// design, in order: widths, specs, then each device (map order) as its name
+// and every SmallSignal field.
+uint64_t dataset_hash(const Dataset& ds) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  auto bytes = [&h](const void* p, size_t n) {
+    const auto* b = static_cast<const unsigned char*>(p);
+    for (size_t i = 0; i < n; ++i) {
+      h ^= b[i];
+      h *= 0x100000001b3ULL;
+    }
+  };
+  auto f64 = [&bytes](double v) {
+    uint64_t u = 0;
+    std::memcpy(&u, &v, sizeof u);
+    bytes(&u, sizeof u);
+  };
+  auto u8 = [&bytes](auto e) {
+    const auto v = static_cast<uint8_t>(e);
+    bytes(&v, 1);
+  };
+  for (const auto& d : ds.designs) {
+    for (double w : d.widths) f64(w);
+    f64(d.specs.gain_db);
+    f64(d.specs.bw_hz);
+    f64(d.specs.ugf_hz);
+    for (const auto& [name, ss] : d.devices) {
+      bytes(name.data(), name.size());
+      for (double v : {ss.id, ss.gm, ss.gds, ss.cgs, ss.cds, ss.ic}) f64(v);
+      u8(ss.region);
+      u8(ss.conduction);
+    }
+  }
+  return h;
+}
 
 TEST_F(DatasetTest, GeneratesRequestedCount) {
   const Dataset ds = small_dataset("5T-OTA");
@@ -122,6 +162,69 @@ TEST_F(DatasetTest, TwoStageDatasetIsGeneratable) {
   for (const auto& d : ds.designs) {
     EXPECT_TRUE(range.contains(d.specs));
     EXPECT_GE(d.specs.gain_db, 26.0);  // two-stage gain exceeds single-stage
+  }
+}
+
+TEST_F(DatasetTest, OnlyFilterSurvivorsRunAc) {
+  // Region and saturation verdicts are decided at the DC operating point, so
+  // the AC measurement runs exactly once per candidate that reaches the spec
+  // check: every accepted design and every spec reject, nothing else.  The
+  // runs are bounded by an attempt budget rather than a design target so
+  // that the parallel path folds every attempt it evaluates (a target can
+  // stop the fold inside a block whose later attempts were already run).
+  const stats::ScopedStats scoped;  // restores the prior state on exit
+  for (const auto& [name, budget] : {std::pair{"5T-OTA", 200},
+                                     std::pair{"CM-OTA", 300},
+                                     std::pair{"2S-OTA", 150}}) {
+    auto topo = circuit::make_topology(name, tech);
+    DataGenOptions opt;
+    opt.target_designs = budget + 1;  // never reached: the budget ends the run
+    opt.max_attempts = budget;
+    opt.seed = 7;
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(std::string(name) + " threads=" + std::to_string(threads));
+      opt.threads = threads;
+      stats::reset();
+      const Dataset ds =
+          generate_dataset(topo, tech, SpecRange::for_topology(name), opt);
+      const auto sites = stats::snapshot();
+      const auto it = sites.find("spice.measure");
+      const uint64_t measures = it == sites.end() ? 0 : it->second.count;
+      ASSERT_EQ(ds.attempts, budget);
+      ASSERT_FALSE(ds.designs.empty());
+      EXPECT_GT(ds.region_rejects, 0);
+      EXPECT_EQ(measures, ds.designs.size() + static_cast<size_t>(ds.spec_rejects));
+    }
+  }
+}
+
+TEST_F(DatasetTest, OutcomesMatchPinnedReference) {
+  // Captured from the implementation that ran the full DC + AC evaluation on
+  // every candidate (before region rejects were decided at the operating
+  // point), with this fixture's options (seed 7, max_attempts 20000) at 1 and
+  // 4 threads, which agreed.  Any change to what dataset generation produces
+  // must fail here.
+  struct Pin {
+    const char* topology;
+    int designs, attempts, dc_failures, region_rejects, spec_rejects;
+    uint64_t hash;
+  };
+  const Pin pins[] = {
+      {"5T-OTA", 40, 400, 0, 360, 0, 0x73bc80f9e1bd82d8ULL},
+      {"CM-OTA", 20, 559, 0, 530, 9, 0x0b0c6c11847cc051ULL},
+      {"2S-OTA", 10, 145, 0, 135, 0, 0xb5d1da802abf3eb4ULL},
+  };
+  for (const Pin& p : pins) {
+    for (int threads : {1, 4}) {
+      const Dataset ds = small_dataset(p.topology, p.designs, threads);
+      SCOPED_TRACE(std::string(p.topology) + " threads=" + std::to_string(threads));
+      EXPECT_EQ(ds.designs.size(), static_cast<size_t>(p.designs));
+      EXPECT_EQ(ds.attempts, p.attempts);
+      EXPECT_EQ(ds.dc_failures, p.dc_failures);
+      EXPECT_EQ(ds.region_rejects, p.region_rejects);
+      EXPECT_EQ(ds.spec_rejects, p.spec_rejects);
+      EXPECT_EQ(dataset_hash(ds), p.hash);
+    }
   }
 }
 

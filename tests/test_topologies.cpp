@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
+#include <vector>
+
 #include "common/error.hpp"
 #include "spice/testbench.hpp"
 
@@ -98,6 +102,73 @@ TEST_F(TopologyTest, InputCommonModeRangeIsNonTrivial) {
   // The default VCM used by the builders must fall inside the ICMR.
   EXPECT_LE(icmr->first, 0.75);
   EXPECT_GE(icmr->second, 0.75);
+}
+
+TEST_F(TopologyTest, InputCommonModeRangeRejectsBadStep) {
+  Topology t = make_5t_ota(tech);
+  const double vcm = t.netlist.vsource(t.input_sources[0]).dc;
+  // A zero or negative step never reached Vdd (an endless sweep); NaN
+  // reported a one-point window at 0 V.
+  for (double step : {0.0, -0.05, std::numeric_limits<double>::quiet_NaN(),
+                      std::numeric_limits<double>::infinity(),
+                      -std::numeric_limits<double>::infinity(),
+                      std::numeric_limits<double>::denorm_min()}) {
+    EXPECT_THROW(spice::input_common_mode_range(t, tech, step),
+                 InvalidArgument)
+        << step;
+  }
+  EXPECT_EQ(t.netlist.vsource(t.input_sources[0]).dc, vcm);
+}
+
+TEST_F(TopologyTest, InputCommonModeRangeRestoresSourcesOnThrow) {
+  Topology t = make_5t_ota(tech);
+  std::vector<double> saved;
+  for (const auto& src : t.input_sources) {
+    saved.push_back(t.netlist.vsource(src).dc);
+  }
+  // A match group naming a device the netlist lacks makes the first sweep
+  // step's region check throw after the sources were moved to 0 V.
+  t.match_groups.push_back(MatchGroup{"ghost", {"MX"}});
+  EXPECT_ANY_THROW(spice::input_common_mode_range(t, tech, 0.1));
+  for (size_t i = 0; i < saved.size(); ++i) {
+    EXPECT_EQ(t.netlist.vsource(t.input_sources[i]).dc, saved[i]);
+  }
+}
+
+TEST_F(TopologyTest, InputCommonModeRangeMatchesFullEvaluationSweep) {
+  Topology t = make_5t_ota(tech);
+  t.apply_widths({4e-6, 12e-6, 6e-6});
+  const double step = 0.05;
+  const auto icmr = spice::input_common_mode_range(t, tech, step);
+
+  // Reference: the same sweep, judged by the full DC + AC evaluation.
+  Topology ref = make_5t_ota(tech);
+  ref.apply_widths({4e-6, 12e-6, 6e-6});
+  double lo = tech.vdd, hi = 0.0;
+  bool any = false;
+  for (double vcm = 0.0; vcm <= tech.vdd + 1e-12; vcm += step) {
+    for (const auto& src : ref.input_sources) ref.netlist.vsource(src).dc = vcm;
+    bool ok = false;
+    try {
+      ok = spice::evaluate_current(ref, tech).saturation_ok;
+    } catch (const ConvergenceError&) {
+    }
+    if (ok) {
+      lo = std::min(lo, vcm);
+      hi = std::max(hi, vcm);
+      any = true;
+    }
+  }
+  ASSERT_TRUE(any);
+  ASSERT_TRUE(icmr.has_value());
+  EXPECT_EQ(icmr->first, lo);
+  EXPECT_EQ(icmr->second, hi);
+  EXPECT_LT(lo, hi);
+  // The sweep leaves the topology's input sources where it found them.
+  Topology fresh = make_5t_ota(tech);
+  for (const auto& src : t.input_sources) {
+    EXPECT_EQ(t.netlist.vsource(src).dc, fresh.netlist.vsource(src).dc);
+  }
 }
 
 }  // namespace
