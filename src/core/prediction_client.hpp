@@ -16,44 +16,14 @@
 // decoding tokens nobody will read.
 #pragma once
 
-#include <atomic>
-#include <chrono>
 #include <memory>
 #include <string>
 
-#include "common/error.hpp"
+#include "common/cancel.hpp"
 #include "core/predictor.hpp"
 #include "ml/precision.hpp"
 
 namespace ota::core {
-
-/// Cooperative cancellation context for one campaign or prediction: an
-/// optional shared flag (e.g. set by serve::CampaignServer::Job::cancel)
-/// and an optional absolute deadline.  Value-copied freely; default state
-/// means "never cancelled".
-struct CancelSignal {
-  std::shared_ptr<const std::atomic<bool>> flag{};
-  std::chrono::steady_clock::time_point deadline =
-      std::chrono::steady_clock::time_point::max();
-
-  bool cancel_requested() const {
-    return flag && flag->load(std::memory_order_acquire);
-  }
-  bool expired() const {
-    return deadline != std::chrono::steady_clock::time_point::max() &&
-           std::chrono::steady_clock::now() >= deadline;
-  }
-  /// Stage-boundary checkpoint: throws ota::Cancelled when the flag is set
-  /// or the deadline has passed.  `where` names the boundary for the error.
-  void check(const char* where) const {
-    if (cancel_requested()) {
-      throw Cancelled(std::string(where) + ": campaign cancelled by caller");
-    }
-    if (expired()) {
-      throw Cancelled(std::string(where) + ": campaign deadline exceeded");
-    }
-  }
-};
 
 /// Submit an encoder text now, collect the decoded text later.
 class PredictionClient {

@@ -91,13 +91,17 @@ void DecodeScheduler::Ticket::cancel() {
 
 bool DecodeScheduler::Ticket::cancel_requested() const {
   return cancel_flag.load(std::memory_order_acquire) ||
-         (sub.cancel && sub.cancel->load(std::memory_order_acquire));
+         signal.cancel_requested();
 }
 
-bool DecodeScheduler::Ticket::expired(
-    std::chrono::steady_clock::time_point now) const {
-  return sub.deadline != std::chrono::steady_clock::time_point::max() &&
-         now >= sub.deadline;
+std::exception_ptr DecodeScheduler::Ticket::cancellation(
+    CancelSignal::Clock::time_point now, const char* when) const {
+  const char* why = cancel_requested()    ? "cancelled "
+                    : signal.expired(now) ? "deadline exceeded "
+                                          : nullptr;
+  if (why == nullptr) return nullptr;
+  return std::make_exception_ptr(Cancelled(
+      std::string("DecodeScheduler: request ").append(why).append(when)));
 }
 
 DecodeScheduler::DecodeScheduler(const InferenceEngine& engine)
@@ -114,12 +118,7 @@ DecodeScheduler::DecodeScheduler(const InferenceEngine& engine, Options opt)
 DecodeScheduler::~DecodeScheduler() { shutdown(/*drain=*/true); }
 
 std::shared_ptr<DecodeScheduler::Ticket> DecodeScheduler::submit(
-    std::vector<TokenId> src, int64_t max_tokens) {
-  return submit(std::move(src), max_tokens, SubmitOptions{});
-}
-
-std::shared_ptr<DecodeScheduler::Ticket> DecodeScheduler::submit(
-    std::vector<TokenId> src, int64_t max_tokens, SubmitOptions sub) {
+    std::vector<TokenId> src, int64_t max_tokens, CancelSignal cancel) {
   if (max_tokens <= 0) {
     throw InvalidArgument(
         "DecodeScheduler::submit: max_tokens must be positive, got " +
@@ -129,7 +128,7 @@ std::shared_ptr<DecodeScheduler::Ticket> DecodeScheduler::submit(
   auto ticket = std::make_shared<Ticket>();
   ticket->src = std::move(src);
   ticket->max_tokens = max_tokens;
-  ticket->sub = std::move(sub);
+  ticket->signal = std::move(cancel);
   {
     std::lock_guard<std::mutex> lk(mu_);
     if (stop_) {
@@ -246,14 +245,10 @@ bool DecodeScheduler::run_round(std::vector<ActiveRequest>& active,
       // Cancellation sweep over the wait queue: a cancelled or expired
       // request resolves right here and never occupies a batch slot it
       // could not use.
-      const auto now = std::chrono::steady_clock::now();
+      const auto now = CancelSignal::Clock::now();
       for (auto it = pending_.begin(); it != pending_.end();) {
-        if ((*it)->cancel_requested() || (*it)->expired(now)) {
-          (*it)->error = std::make_exception_ptr(Cancelled(
-              (*it)->cancel_requested()
-                  ? "DecodeScheduler: request cancelled before decoding"
-                  : "DecodeScheduler: request deadline exceeded before "
-                    "decoding"));
+        if (auto err = (*it)->cancellation(now, "before decoding")) {
+          (*it)->error = err;
           ++stats_.cancelled;
           publish(*it);
           it = pending_.erase(it);
@@ -290,13 +285,9 @@ bool DecodeScheduler::run_round(std::vector<ActiveRequest>& active,
   for (auto& t : admitted) {
     ActiveRequest a;
     a.ticket = std::move(t);
-    if (a.ticket->cancel_requested() ||
-        a.ticket->expired(std::chrono::steady_clock::now())) {
-      a.ticket->error = std::make_exception_ptr(Cancelled(
-          a.ticket->cancel_requested()
-              ? "DecodeScheduler: request cancelled before decoding"
-              : "DecodeScheduler: request deadline exceeded before "
-                "decoding"));
+    if (auto err = a.ticket->cancellation(CancelSignal::Clock::now(),
+                                          "before decoding")) {
+      a.ticket->error = err;
       {
         std::lock_guard<std::mutex> lk(mu_);
         ++stats_.cancelled;
@@ -325,14 +316,11 @@ bool DecodeScheduler::run_round(std::vector<ActiveRequest>& active,
   // (or whose deadline passed) retires from the dynamic batch before this
   // round steps — its slot frees for the next admission and its waiters
   // wake with Cancelled instead of paying for tokens nobody wants.
-  const auto round_now = std::chrono::steady_clock::now();
+  const auto round_now = CancelSignal::Clock::now();
   size_t retired_by_cancel = 0;
   for (ActiveRequest& a : active) {
-    if (a.ticket->cancel_requested() || a.ticket->expired(round_now)) {
-      a.ticket->error = std::make_exception_ptr(Cancelled(
-          a.ticket->cancel_requested()
-              ? "DecodeScheduler: request cancelled mid-decode"
-              : "DecodeScheduler: request deadline exceeded mid-decode"));
+    if (auto err = a.ticket->cancellation(round_now, "mid-decode")) {
+      a.ticket->error = err;
       a.finished = true;
       a.cancelled = true;
       ++retired_by_cancel;

@@ -23,7 +23,6 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -33,6 +32,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/cancel.hpp"
 #include "ml/infer.hpp"
 
 namespace ota::ml {
@@ -56,20 +56,6 @@ class DecodeScheduler {
     Precision precision = Precision::kDouble;
   };
 
-  /// Per-request cancellation context for submit().  Both members are
-  /// optional; the scheduler checks them once per round, so a live sequence
-  /// retires from the dynamic batch mid-flight (its slot frees for the next
-  /// admission) rather than decoding to completion.
-  struct SubmitOptions {
-    /// External cooperative cancel flag (e.g. a campaign's): when it reads
-    /// true the request resolves with ota::Cancelled.
-    std::shared_ptr<const std::atomic<bool>> cancel{};
-    /// Absolute steady-clock deadline: past it the request resolves with
-    /// ota::Cancelled without decoding further.  max() = no deadline.
-    std::chrono::steady_clock::time_point deadline =
-        std::chrono::steady_clock::time_point::max();
-  };
-
   /// One-shot handle for a submitted request.  Created by submit(); waiters
   /// and the scheduler thread may touch it concurrently.
   class Ticket {
@@ -91,15 +77,17 @@ class DecodeScheduler {
     /// way (a cancel can lose the race with completion).
     void cancel();
 
-    /// True when cancellation was requested via cancel() or the external
-    /// SubmitOptions flag (regardless of whether the ticket resolved yet).
+    /// True when cancellation was requested via cancel() or the submitter's
+    /// CancelSignal flag (regardless of whether the ticket resolved yet).
     bool cancel_requested() const;
 
    private:
     friend class DecodeScheduler;
-    /// Deadline check, against a caller-supplied "now" so one clock read
-    /// covers a whole scheduler round.
-    bool expired(std::chrono::steady_clock::time_point now) const;
+    /// The Cancelled outcome when cancel() or the signal's flag is set or
+    /// its deadline has passed at `now`, null otherwise.  `when` ends the
+    /// message ("before decoding", "mid-decode").
+    std::exception_ptr cancellation(CancelSignal::Clock::time_point now,
+                                    const char* when) const;
 
     mutable std::mutex mu;
     std::condition_variable cv;
@@ -110,7 +98,7 @@ class DecodeScheduler {
     std::vector<nlp::TokenId> src;
     int64_t max_tokens = 0;
     std::atomic<bool> cancel_flag{false};  ///< set by cancel()
-    SubmitOptions sub;                     ///< external flag + deadline
+    CancelSignal signal;  ///< the submitter's flag + deadline
   };
 
   /// Spawns the scheduler thread.  `engine` must outlive the scheduler.
@@ -129,14 +117,12 @@ class DecodeScheduler {
   /// Enqueues one decode request; returns immediately.  Throws
   /// InvalidArgument for max_tokens <= 0 or after shutdown() — a request
   /// that could never be served is refused at the door, not queued.
-  /// The second overload attaches a cancellation context: the request
-  /// resolves with ota::Cancelled as soon as the scheduler observes the
-  /// flag set or the deadline passed (at round granularity), whether it is
-  /// still queued or already decoding in the dynamic batch.
+  /// `cancel` is the request's cancellation context: the request resolves
+  /// with ota::Cancelled as soon as the scheduler observes its flag set or
+  /// its deadline passed (once per round), whether it is still queued or
+  /// already decoding in the dynamic batch.
   std::shared_ptr<Ticket> submit(std::vector<nlp::TokenId> src,
-                                 int64_t max_tokens);
-  std::shared_ptr<Ticket> submit(std::vector<nlp::TokenId> src,
-                                 int64_t max_tokens, SubmitOptions sub);
+                                 int64_t max_tokens, CancelSignal cancel = {});
 
   /// Stops accepting submissions and joins the scheduler thread.
   /// drain=true serves every outstanding request first; drain=false answers

@@ -6,6 +6,7 @@
 #include <string>
 #include <type_traits>
 
+#include "common/stats.hpp"
 #include "par/thread_pool.hpp"
 
 namespace ota::ml {
@@ -103,7 +104,7 @@ void softmax_row(T* s, int64_t n) {
 /// In-place row layer-norm, same statistics and output expression as
 /// layer_norm in ops.cpp (eps matches its default).
 template <typename TT, typename T = typename TT::value_type>
-void layer_norm_row(T* x, int64_t n, const LayerNormWeightsT<TT>& w) {
+void layer_norm_row(T* x, int64_t n, const LayerNormWeights<TT>& w) {
   T mu = T(0);
   for (int64_t c = 0; c < n; ++c) mu += x[c];
   mu /= static_cast<T>(n);
@@ -156,7 +157,7 @@ void attend_row(const T* q, const T* keys, const T* values, int64_t lk,
 /// decoder Session uses — one copy of the bit-identity-critical loop.
 template <typename TT, typename T = typename TT::value_type>
 TT attention_full(const TT& q_src, const TT& kv_src,
-                  const FusedAttentionWeightsT<TT>& w, int64_t d_head) {
+                  const FusedAttentionWeights<TT>& w, int64_t d_head) {
   const int64_t lq = q_src.rows(), lk = kv_src.rows(), d_model = w.wq.cols();
   TT q, k, v;
   matmul_into(q_src, w.wq, q);
@@ -177,7 +178,7 @@ TT attention_full(const TT& q_src, const TT& kv_src,
 
 /// Position-wise FFN over all rows: relu(x W_in + b_in) W_out + b_out.
 template <typename TT, typename T = typename TT::value_type>
-TT ffn_full(const TT& x, const FeedForwardWeightsT<TT>& w) {
+TT ffn_full(const TT& x, const FeedForwardWeights<TT>& w) {
   TT h;
   matmul_into(x, w.w_in, h);
   for (int64_t r = 0; r < h.rows(); ++r) add_bias_row(&h(r, 0), w.b_in);
@@ -186,51 +187,6 @@ TT ffn_full(const TT& x, const FeedForwardWeightsT<TT>& w) {
   matmul_into(h, w.w_out, out);
   for (int64_t r = 0; r < out.rows(); ++r) add_bias_row(&out(r, 0), w.b_out);
   return out;
-}
-
-/// Shared encoder pass: embedding+positional rows, then per-layer
-/// self-attention / norm / FFN / norm.  One body for both tiers; the double
-/// instantiation is the bit-identity reference, the f32 instantiation runs
-/// on the narrowed snapshot with half the memory traffic.
-template <typename TT, typename T = typename TT::value_type>
-TT encode_impl(const std::vector<TokenId>& src, const TT& embed, const TT& pos,
-               const std::vector<EncoderLayerWeightsT<TT>>& layers,
-               const TransformerConfig& cfg, int64_t d_head) {
-  if (src.empty()) {
-    throw InvalidArgument("InferenceEngine::encode: empty input");
-  }
-  const int64_t len = static_cast<int64_t>(src.size());
-  if (len > cfg.max_len) {
-    throw InvalidArgument(
-        "InferenceEngine::encode: input length " + std::to_string(len) +
-        " exceeds the positional table (max_len " + std::to_string(cfg.max_len) +
-        "); re-train with a larger max_len or shorten the input");
-  }
-  const T sqrt_d = std::sqrt(static_cast<T>(cfg.d_model));
-  TT x(len, cfg.d_model);
-  for (int64_t i = 0; i < len; ++i) {
-    const TokenId id = src[static_cast<size_t>(i)];
-    if (id < 0 || id >= embed.rows()) {
-      throw InvalidArgument("InferenceEngine::encode: token id out of range");
-    }
-#pragma omp simd
-    for (int64_t c = 0; c < cfg.d_model; ++c) {
-      x(i, c) = embed(id, c) * sqrt_d + pos(i, c);
-    }
-  }
-  for (const EncoderLayerWeightsT<TT>& layer : layers) {
-    const TT attn = attention_full(x, x, layer.self, d_head);
-    for (int64_t i = 0; i < x.size(); ++i) x.at(i) += attn.at(i);
-    for (int64_t r = 0; r < len; ++r) {
-      layer_norm_row(&x(r, 0), cfg.d_model, layer.norm1);
-    }
-    const TT ff = ffn_full(x, layer.ffn);
-    for (int64_t i = 0; i < x.size(); ++i) x.at(i) += ff.at(i);
-    for (int64_t r = 0; r < len; ++r) {
-      layer_norm_row(&x(r, 0), cfg.d_model, layer.norm2);
-    }
-  }
-  return x;
 }
 
 /// Weight lookup by registry name, so the snapshot survives reordering of
@@ -279,152 +235,168 @@ Tensor fuse_heads(const WeightMap& w, const std::string& site,
   return fused;
 }
 
-FusedAttentionWeights snapshot_attention(const WeightMap& w,
-                                         const std::string& site,
-                                         int64_t d_model, int64_t d_head) {
-  FusedAttentionWeights a;
-  a.wq = fuse_heads(w, site, "wq", d_model, d_head);
-  a.wk = fuse_heads(w, site, "wk", d_model, d_head);
-  a.wv = fuse_heads(w, site, "wv", d_model, d_head);
-  a.wo = w.get(site + ".wo");
-  a.bo = w.get(site + ".bo");
-  return a;
+/// A double parameter at tier TT: the double tier copies it, the float32 tier
+/// narrows it (round to nearest).  Narrowing the already-fused tensors keeps
+/// both tiers on one layout.
+template <typename TT>
+TT to_tier(const Tensor& t) {
+  if constexpr (std::is_same_v<TT, Tensor>) {
+    return t;
+  } else {
+    return TT::from(t);
+  }
 }
 
-FeedForwardWeights snapshot_ffn(const WeightMap& w, const std::string& site) {
-  return FeedForwardWeights{w.get(site + ".in.w"), w.get(site + ".in.b"),
-                            w.get(site + ".out.w"), w.get(site + ".out.b")};
+template <typename TT>
+FusedAttentionWeights<TT> snapshot_attention(const WeightMap& w,
+                                             const std::string& site,
+                                             int64_t d_model, int64_t d_head) {
+  return {to_tier<TT>(fuse_heads(w, site, "wq", d_model, d_head)),
+          to_tier<TT>(fuse_heads(w, site, "wk", d_model, d_head)),
+          to_tier<TT>(fuse_heads(w, site, "wv", d_model, d_head)),
+          to_tier<TT>(w.get(site + ".wo")), to_tier<TT>(w.get(site + ".bo"))};
 }
 
-LayerNormWeights snapshot_norm(const WeightMap& w, const std::string& site) {
-  return LayerNormWeights{w.get(site + ".gamma"), w.get(site + ".beta")};
+template <typename TT>
+FeedForwardWeights<TT> snapshot_ffn(const WeightMap& w,
+                                    const std::string& site) {
+  return {to_tier<TT>(w.get(site + ".in.w")),
+          to_tier<TT>(w.get(site + ".in.b")),
+          to_tier<TT>(w.get(site + ".out.w")),
+          to_tier<TT>(w.get(site + ".out.b"))};
 }
 
-// Round-to-nearest narrowing of a fused double snapshot into the f32 mirror,
-// structure by structure.  Taken from the already-fused double tensors so
-// both tiers share one layout (and the f32 tier inherits any future fusing
-// changes automatically).
-FusedAttentionWeightsT<TensorF> narrow(const FusedAttentionWeights& w) {
-  return {TensorF::from(w.wq), TensorF::from(w.wk), TensorF::from(w.wv),
-          TensorF::from(w.wo), TensorF::from(w.bo)};
-}
-
-FeedForwardWeightsT<TensorF> narrow(const FeedForwardWeights& w) {
-  return {TensorF::from(w.w_in), TensorF::from(w.b_in),
-          TensorF::from(w.w_out), TensorF::from(w.b_out)};
-}
-
-LayerNormWeightsT<TensorF> narrow(const LayerNormWeights& w) {
-  return {TensorF::from(w.gamma), TensorF::from(w.beta)};
-}
-
-EncoderLayerWeightsT<TensorF> narrow(const EncoderLayerWeights& e) {
-  return {narrow(e.self), narrow(e.ffn), narrow(e.norm1), narrow(e.norm2)};
-}
-
-DecoderLayerWeightsT<TensorF> narrow(const DecoderLayerWeights& d) {
-  return {narrow(d.self), narrow(d.cross), narrow(d.ffn),
-          narrow(d.norm1), narrow(d.norm2), narrow(d.norm3)};
+template <typename TT>
+LayerNormWeights<TT> snapshot_norm(const WeightMap& w,
+                                   const std::string& site) {
+  return {to_tier<TT>(w.get(site + ".gamma")),
+          to_tier<TT>(w.get(site + ".beta"))};
 }
 
 }  // namespace
 
-InferenceEngine::InferenceEngine(const Transformer& model)
-    : cfg_(model.config()), pos_(model.positional().table()) {
-  d_head_ = cfg_.d_model / cfg_.n_heads;
+template <typename TT>
+InferenceEngine::Snapshot<TT> InferenceEngine::build_snapshot(
+    const Transformer& model, int64_t d_head) {
+  const TransformerConfig& cfg = model.config();
   const WeightMap w(model);
-  src_embed_ = w.get("src_embed");
-  tgt_embed_ = w.get("tgt_embed");
-  out_w_ = w.get("out.w");
-  out_b_ = w.get("out.b");
-  for (int64_t l = 0; l < cfg_.n_layers; ++l) {
+  Snapshot<TT> s;
+  s.src_embed = to_tier<TT>(w.get("src_embed"));
+  s.tgt_embed = to_tier<TT>(w.get("tgt_embed"));
+  s.pos = to_tier<TT>(model.positional().table());
+  s.out_w = to_tier<TT>(w.get("out.w"));
+  s.out_b = to_tier<TT>(w.get("out.b"));
+  for (int64_t l = 0; l < cfg.n_layers; ++l) {
     const std::string enc = "enc" + std::to_string(l);
-    EncoderLayerWeights e;
-    e.self = snapshot_attention(w, enc + ".self", cfg_.d_model, d_head_);
-    e.ffn = snapshot_ffn(w, enc + ".ffn");
-    e.norm1 = snapshot_norm(w, enc + ".norm1");
-    e.norm2 = snapshot_norm(w, enc + ".norm2");
-    encoder_.push_back(std::move(e));
-
+    s.encoder.push_back(
+        {snapshot_attention<TT>(w, enc + ".self", cfg.d_model, d_head),
+         snapshot_ffn<TT>(w, enc + ".ffn"),
+         snapshot_norm<TT>(w, enc + ".norm1"),
+         snapshot_norm<TT>(w, enc + ".norm2")});
     const std::string dec = "dec" + std::to_string(l);
-    DecoderLayerWeights d;
-    d.self = snapshot_attention(w, dec + ".self", cfg_.d_model, d_head_);
-    d.cross = snapshot_attention(w, dec + ".cross", cfg_.d_model, d_head_);
-    d.ffn = snapshot_ffn(w, dec + ".ffn");
-    d.norm1 = snapshot_norm(w, dec + ".norm1");
-    d.norm2 = snapshot_norm(w, dec + ".norm2");
-    d.norm3 = snapshot_norm(w, dec + ".norm3");
-    decoder_.push_back(std::move(d));
+    s.decoder.push_back(
+        {snapshot_attention<TT>(w, dec + ".self", cfg.d_model, d_head),
+         snapshot_attention<TT>(w, dec + ".cross", cfg.d_model, d_head),
+         snapshot_ffn<TT>(w, dec + ".ffn"),
+         snapshot_norm<TT>(w, dec + ".norm1"),
+         snapshot_norm<TT>(w, dec + ".norm2"),
+         snapshot_norm<TT>(w, dec + ".norm3")});
   }
-
-  // Float32 mirror, taken in the same compile so both tiers are always
-  // available at decode time.  Narrowing happens after head fusing, so the
-  // mirrors stay structurally identical to the double snapshot.
-  src_embed_f_ = TensorF::from(src_embed_);
-  tgt_embed_f_ = TensorF::from(tgt_embed_);
-  pos_f_ = TensorF::from(pos_);
-  out_w_f_ = TensorF::from(out_w_);
-  out_b_f_ = TensorF::from(out_b_);
-  encoder_f_.reserve(encoder_.size());
-  for (const EncoderLayerWeights& e : encoder_) encoder_f_.push_back(narrow(e));
-  decoder_f_.reserve(decoder_.size());
-  for (const DecoderLayerWeights& d : decoder_) decoder_f_.push_back(narrow(d));
+  return s;
 }
 
-Tensor InferenceEngine::encode(const std::vector<TokenId>& src) const {
-  return encode_impl(src, src_embed_, pos_, encoder_, cfg_, d_head_);
+InferenceEngine::InferenceEngine(const Transformer& model)
+    : cfg_(model.config()),
+      d_head_(cfg_.d_model / cfg_.n_heads),
+      snapshots_(build_snapshot<Tensor>(model, d_head_),
+                 build_snapshot<TensorF>(model, d_head_)) {}
+
+/// Encoder pass: embedding+positional rows, then per-layer self-attention /
+/// norm / FFN / norm.  The Tensor instantiation is the bit-identity
+/// reference; the TensorF one runs the same loops on the f32 snapshot.
+template <typename TT>
+TT InferenceEngine::encode(const std::vector<TokenId>& src) const {
+  using T = typename TT::value_type;
+  if (src.empty()) {
+    throw InvalidArgument("InferenceEngine::encode: empty input");
+  }
+  const int64_t len = static_cast<int64_t>(src.size());
+  if (len > cfg_.max_len) {
+    throw InvalidArgument(
+        "InferenceEngine::encode: input length " + std::to_string(len) +
+        " exceeds the positional table (max_len " + std::to_string(cfg_.max_len) +
+        "); re-train with a larger max_len or shorten the input");
+  }
+  const Snapshot<TT>& snap = snapshot<TT>();
+  const T sqrt_d = std::sqrt(static_cast<T>(cfg_.d_model));
+  TT x(len, cfg_.d_model);
+  for (int64_t i = 0; i < len; ++i) {
+    const TokenId id = src[static_cast<size_t>(i)];
+    if (id < 0 || id >= snap.src_embed.rows()) {
+      throw InvalidArgument("InferenceEngine::encode: token id out of range");
+    }
+#pragma omp simd
+    for (int64_t c = 0; c < cfg_.d_model; ++c) {
+      x(i, c) = snap.src_embed(id, c) * sqrt_d + snap.pos(i, c);
+    }
+  }
+  for (const EncoderLayerWeights<TT>& layer : snap.encoder) {
+    const TT attn = attention_full(x, x, layer.self, d_head_);
+    for (int64_t i = 0; i < x.size(); ++i) x.at(i) += attn.at(i);
+    for (int64_t r = 0; r < len; ++r) {
+      layer_norm_row(&x(r, 0), cfg_.d_model, layer.norm1);
+    }
+    const TT ff = ffn_full(x, layer.ffn);
+    for (int64_t i = 0; i < x.size(); ++i) x.at(i) += ff.at(i);
+    for (int64_t r = 0; r < len; ++r) {
+      layer_norm_row(&x(r, 0), cfg_.d_model, layer.norm2);
+    }
+  }
+  return x;
 }
 
-TensorF InferenceEngine::encode_f32(const std::vector<TokenId>& src) const {
-  return encode_impl(src, src_embed_f_, pos_f_, encoder_f_, cfg_, d_head_);
-}
+template Tensor InferenceEngine::encode<Tensor>(
+    const std::vector<TokenId>& src) const;
+template TensorF InferenceEngine::encode<TensorF>(
+    const std::vector<TokenId>& src) const;
+
+// precision() reads the tier off the state variant's alternative index.
+static_assert(static_cast<int>(Precision::kDouble) == 0 &&
+              static_cast<int>(Precision::kFloat32) == 1);
 
 InferenceEngine::Session::Session(const InferenceEngine& engine,
                                   const std::vector<TokenId>& src,
                                   Precision precision)
-    : eng_(engine),
-      precision_(
-          validated_precision(precision, "InferenceEngine::Session")),
-      logits_(1, engine.cfg_.vocab_size) {
-  const size_t layers = eng_.decoder_.size();
-  const size_t d = static_cast<size_t>(engine.cfg_.d_model);
-  if (precision_ == Precision::kDouble) {
-    memory_ = engine.encode(src);
-    cross_k_.resize(layers);
-    cross_v_.resize(layers);
-    self_k_.resize(layers);
-    self_v_.resize(layers);
-    x_.resize(d);
-    row_.resize(d);
-    ctx_.resize(d);
-    out_.resize(d);
-    if (!eng_.decoder_.empty()) {
-      ff_.resize(static_cast<size_t>(eng_.decoder_[0].ffn.w_in.cols()));
-    }
-    for (size_t l = 0; l < layers; ++l) {
-      // The reference recomputes K/V from the (fixed) memory every step; the
-      // values never change, so computing them once per request is exact.
-      matmul_into(memory_, eng_.decoder_[l].cross.wk, cross_k_[l]);
-      matmul_into(memory_, eng_.decoder_[l].cross.wv, cross_v_[l]);
-    }
+    : eng_(engine), logits_(1, engine.cfg_.vocab_size) {
+  STAT_REGION("ml.session.encode");
+  if (validated_precision(precision, "InferenceEngine::Session") ==
+      Precision::kDouble) {
+    init<Tensor>(src);
   } else {
-    memory_f_ = engine.encode_f32(src);
-    cross_kf_.resize(layers);
-    cross_vf_.resize(layers);
-    self_kf_.resize(layers);
-    self_vf_.resize(layers);
-    xf_.resize(d);
-    rowf_.resize(d);
-    ctxf_.resize(d);
-    outf_.resize(d);
-    logitsf_.resize(static_cast<size_t>(engine.cfg_.vocab_size));
-    if (!eng_.decoder_f_.empty()) {
-      fff_.resize(static_cast<size_t>(eng_.decoder_f_[0].ffn.w_in.cols()));
-    }
-    for (size_t l = 0; l < layers; ++l) {
-      matmul_into(memory_f_, eng_.decoder_f_[l].cross.wk, cross_kf_[l]);
-      matmul_into(memory_f_, eng_.decoder_f_[l].cross.wv, cross_vf_[l]);
-    }
+    init<TensorF>(src);
+  }
+}
+
+template <typename TT>
+void InferenceEngine::Session::init(const std::vector<TokenId>& src) {
+  const Snapshot<TT>& snap = eng_.snapshot<TT>();
+  DecodeState<TT>& s = state_.emplace<DecodeState<TT>>();
+  s.memory = eng_.encode<TT>(src);
+  const size_t layers = snap.decoder.size();
+  const size_t d = static_cast<size_t>(eng_.cfg_.d_model);
+  s.cross_k.resize(layers);
+  s.cross_v.resize(layers);
+  s.self_k.resize(layers);
+  s.self_v.resize(layers);
+  for (auto* row : {&s.x, &s.row, &s.ctx, &s.out}) row->resize(d);
+  if constexpr (!std::is_same_v<TT, Tensor>) {
+    s.logits.resize(static_cast<size_t>(eng_.cfg_.vocab_size));
+  }
+  for (size_t l = 0; l < layers; ++l) {
+    // The reference recomputes K/V from the (fixed) memory every step; the
+    // values never change, so computing them once per request is exact.
+    matmul_into(s.memory, snap.decoder[l].cross.wk, s.cross_k[l]);
+    matmul_into(s.memory, snap.decoder[l].cross.wv, s.cross_v[l]);
   }
 }
 
@@ -436,143 +408,84 @@ const Tensor& InferenceEngine::Session::step(TokenId token) {
         std::to_string(length_ + 1) + " exceeds the positional table (max_len " +
         std::to_string(cfg.max_len) + ")");
   }
-  if (token < 0 || token >= eng_.tgt_embed_.rows()) {
+  if (token < 0 || token >= cfg.vocab_size) {
     throw InvalidArgument("InferenceEngine::Session::step: token id out of range");
   }
-  if (precision_ == Precision::kFloat32) {
-    step_f32(token);
-    ++length_;
-    return logits_;
-  }
-  const int64_t d = cfg.d_model;
-  const double sqrt_d = std::sqrt(static_cast<double>(d));
-  std::vector<double>& x = x_;
-  for (int64_t c = 0; c < d; ++c) {
-    x[static_cast<size_t>(c)] =
-        eng_.tgt_embed_(token, c) * sqrt_d + eng_.pos_(length_, c);
-  }
-
-  std::vector<double>& row = row_;
-  std::vector<double>& ctx = ctx_;
-  std::vector<double>& out = out_;
-  std::vector<double>& scores = scores_;
-  std::vector<double>& ff = ff_;
-  for (size_t l = 0; l < eng_.decoder_.size(); ++l) {
-    const DecoderLayerWeights& layer = eng_.decoder_[l];
-
-    // Masked self-attention: project this position's K/V once, append to the
-    // cache, attend the query against every cached position.  The causal mask
-    // is implicit — the cache only holds positions <= this one.
-    project_row(x.data(), layer.self.wk, row.data());
-    self_k_[l].insert(self_k_[l].end(), row.begin(), row.end());
-    project_row(x.data(), layer.self.wv, row.data());
-    self_v_[l].insert(self_v_[l].end(), row.begin(), row.end());
-    project_row(x.data(), layer.self.wq, row.data());
-    attend_row(row.data(), self_k_[l].data(), self_v_[l].data(), length_ + 1, d,
-               eng_.d_head_, ctx.data(), scores);
-    project_row(ctx.data(), layer.self.wo, out.data());
-    add_bias_row(out.data(), layer.self.bo);
-    for (int64_t c = 0; c < d; ++c) x[static_cast<size_t>(c)] += out[static_cast<size_t>(c)];
-    layer_norm_row(x.data(), d, layer.norm1);
-
-    // Cross-attention against the precomputed memory K/V.
-    project_row(x.data(), layer.cross.wq, row.data());
-    attend_row(row.data(), cross_k_[l].data().data(), cross_v_[l].data().data(),
-               memory_.rows(), d, eng_.d_head_, ctx.data(), scores);
-    project_row(ctx.data(), layer.cross.wo, out.data());
-    add_bias_row(out.data(), layer.cross.bo);
-    for (int64_t c = 0; c < d; ++c) x[static_cast<size_t>(c)] += out[static_cast<size_t>(c)];
-    layer_norm_row(x.data(), d, layer.norm2);
-
-    // Position-wise FFN.
-    ff.resize(static_cast<size_t>(layer.ffn.w_in.cols()));
-    project_row(x.data(), layer.ffn.w_in, ff.data());
-    add_bias_row(ff.data(), layer.ffn.b_in);
-    for (double& v : ff) v = v > 0.0 ? v : 0.0;
-    project_row(ff.data(), layer.ffn.w_out, out.data());
-    add_bias_row(out.data(), layer.ffn.b_out);
-    for (int64_t c = 0; c < d; ++c) x[static_cast<size_t>(c)] += out[static_cast<size_t>(c)];
-    layer_norm_row(x.data(), d, layer.norm3);
-  }
-
-  project_row(x.data(), eng_.out_w_, &logits_(0, 0));
-  add_bias_row(&logits_(0, 0), eng_.out_b_);
+  STAT_REGION("ml.session.step");
+  std::visit([&](auto& s) { step_impl(s, token); }, state_);
   ++length_;
   return logits_;
 }
 
-// Float32 mirror of the double step body above: same kernels (templated),
-// same order, half the bytes per weight read.  The logits are widened into
-// the shared double row at the end — widening is monotone and tie-preserving,
-// so argmax over the widened row equals argmax over the float row and every
-// downstream decode loop stays tier-agnostic.  length_ is advanced by the
-// caller (step()).
-void InferenceEngine::Session::step_f32(TokenId token) {
-  const TransformerConfig& cfg = eng_.cfg_;
-  const int64_t d = cfg.d_model;
-  const float sqrt_d = std::sqrt(static_cast<float>(d));
-  std::vector<float>& x = xf_;
+template <typename TT>
+void InferenceEngine::Session::step_impl(DecodeState<TT>& s, TokenId token) {
+  using T = typename TT::value_type;
+  const Snapshot<TT>& snap = eng_.snapshot<TT>();
+  const int64_t d = eng_.cfg_.d_model;
+  const T sqrt_d = std::sqrt(static_cast<T>(d));
+  T* x = s.x.data();
+  T* row = s.row.data();
+  T* ctx = s.ctx.data();
+  T* out = s.out.data();
   for (int64_t c = 0; c < d; ++c) {
-    x[static_cast<size_t>(c)] =
-        eng_.tgt_embed_f_(token, c) * sqrt_d + eng_.pos_f_(length_, c);
+    x[c] = snap.tgt_embed(token, c) * sqrt_d + snap.pos(length_, c);
   }
 
-  std::vector<float>& row = rowf_;
-  std::vector<float>& ctx = ctxf_;
-  std::vector<float>& out = outf_;
-  std::vector<float>& scores = scoresf_;
-  std::vector<float>& ff = fff_;
-  for (size_t l = 0; l < eng_.decoder_f_.size(); ++l) {
-    const DecoderLayerWeightsT<TensorF>& layer = eng_.decoder_f_[l];
+  // x += out, then layer-norm: the residual that closes every sub-layer.
+  const auto add_and_norm = [&](const LayerNormWeights<TT>& norm) {
+    for (int64_t c = 0; c < d; ++c) x[c] += out[c];
+    layer_norm_row(x, d, norm);
+  };
+  // Query projection, attention over `lk` cached key/value rows, output
+  // projection, residual.
+  const auto attend = [&](const FusedAttentionWeights<TT>& w, const T* keys,
+                          const T* values, int64_t lk,
+                          const LayerNormWeights<TT>& norm) {
+    project_row(x, w.wq, row);
+    attend_row(row, keys, values, lk, d, eng_.d_head_, ctx, s.scores);
+    project_row(ctx, w.wo, out);
+    add_bias_row(out, w.bo);
+    add_and_norm(norm);
+  };
 
-    project_row(x.data(), layer.self.wk, row.data());
-    self_kf_[l].insert(self_kf_[l].end(), row.begin(), row.end());
-    project_row(x.data(), layer.self.wv, row.data());
-    self_vf_[l].insert(self_vf_[l].end(), row.begin(), row.end());
-    project_row(x.data(), layer.self.wq, row.data());
-    attend_row(row.data(), self_kf_[l].data(), self_vf_[l].data(), length_ + 1,
-               d, eng_.d_head_, ctx.data(), scores);
-    project_row(ctx.data(), layer.self.wo, out.data());
-    add_bias_row(out.data(), layer.self.bo);
-    for (int64_t c = 0; c < d; ++c) x[static_cast<size_t>(c)] += out[static_cast<size_t>(c)];
-    layer_norm_row(x.data(), d, layer.norm1);
+  for (size_t l = 0; l < snap.decoder.size(); ++l) {
+    const DecoderLayerWeights<TT>& layer = snap.decoder[l];
 
-    project_row(x.data(), layer.cross.wq, row.data());
-    attend_row(row.data(), cross_kf_[l].data().data(),
-               cross_vf_[l].data().data(), memory_f_.rows(), d, eng_.d_head_,
-               ctx.data(), scores);
-    project_row(ctx.data(), layer.cross.wo, out.data());
-    add_bias_row(out.data(), layer.cross.bo);
-    for (int64_t c = 0; c < d; ++c) x[static_cast<size_t>(c)] += out[static_cast<size_t>(c)];
-    layer_norm_row(x.data(), d, layer.norm2);
+    // Masked self-attention: project this position's K/V once, append to the
+    // cache, attend the query against every cached position.  The causal mask
+    // is implicit — the cache only holds positions <= this one.
+    project_row(x, layer.self.wk, row);
+    s.self_k[l].insert(s.self_k[l].end(), row, row + d);
+    project_row(x, layer.self.wv, row);
+    s.self_v[l].insert(s.self_v[l].end(), row, row + d);
+    attend(layer.self, s.self_k[l].data(), s.self_v[l].data(), length_ + 1,
+           layer.norm1);
 
-    ff.resize(static_cast<size_t>(layer.ffn.w_in.cols()));
-    project_row(x.data(), layer.ffn.w_in, ff.data());
-    add_bias_row(ff.data(), layer.ffn.b_in);
-    for (float& v : ff) v = v > 0.0f ? v : 0.0f;
-    project_row(ff.data(), layer.ffn.w_out, out.data());
-    add_bias_row(out.data(), layer.ffn.b_out);
-    for (int64_t c = 0; c < d; ++c) x[static_cast<size_t>(c)] += out[static_cast<size_t>(c)];
-    layer_norm_row(x.data(), d, layer.norm3);
+    // Cross-attention against the precomputed memory K/V.
+    attend(layer.cross, s.cross_k[l].data().data(), s.cross_v[l].data().data(),
+           s.memory.rows(), layer.norm2);
+
+    // Position-wise FFN.
+    s.ff.resize(static_cast<size_t>(layer.ffn.w_in.cols()));
+    project_row(x, layer.ffn.w_in, s.ff.data());
+    add_bias_row(s.ff.data(), layer.ffn.b_in);
+    for (T& v : s.ff) v = v > T(0) ? v : T(0);
+    project_row(s.ff.data(), layer.ffn.w_out, out);
+    add_bias_row(out, layer.ffn.b_out);
+    add_and_norm(layer.norm3);
   }
 
-  project_row(x.data(), eng_.out_w_f_, logitsf_.data());
-  add_bias_row(logitsf_.data(), eng_.out_b_f_);
-  for (int64_t c = 0; c < cfg.vocab_size; ++c) {
-    logits_(0, c) = static_cast<double>(logitsf_[static_cast<size_t>(c)]);
+  // The double tier writes the returned row in place.  The f32 tier writes
+  // its own row and widens it: widening is monotone and tie-preserving, so
+  // the argmax is unchanged and every decode loop stays tier-agnostic.
+  if constexpr (std::is_same_v<TT, Tensor>) {
+    project_row(x, snap.out_w, logits_.data().data());
+    add_bias_row(logits_.data().data(), snap.out_b);
+  } else {
+    project_row(x, snap.out_w, s.logits.data());
+    add_bias_row(s.logits.data(), snap.out_b);
+    std::copy(s.logits.begin(), s.logits.end(), logits_.data().begin());
   }
-}
-
-TokenId argmax_token(const Tensor& logits) {
-  TokenId best = 0;
-  double best_score = -1e300;
-  for (int64_t c = 0; c < logits.cols(); ++c) {
-    if (logits(0, c) > best_score) {
-      best_score = logits(0, c);
-      best = static_cast<TokenId>(c);
-    }
-  }
-  return best;
 }
 
 std::vector<TokenId> InferenceEngine::greedy_decode(

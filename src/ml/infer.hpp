@@ -7,9 +7,12 @@
 // autograd graph each time.  InferenceEngine is the lean evaluation
 // representation compiled once from a trained model:
 //
-//  * weights are snapshotted into plain Tensors, with the per-head Q/K/V
+//  * weights are snapshotted into plain tensors, with the per-head Q/K/V
 //    projections of each attention site fused into single d_model x d_model
 //    GEMMs (one matmul instead of 3*n_heads tiny ones);
+//  * both precision tiers (ml/precision.hpp) share one templated snapshot
+//    layout and one encode and decode-step body, instantiated for Tensor
+//    (the double reference) and TensorF (the float32 serving tier);
 //  * encode runs once per request and the cross-attention K/V of every
 //    decoder layer are precomputed from the memory;
 //  * decoding is incremental through a per-layer KV cache, so each step is
@@ -18,15 +21,17 @@
 //    thread pool (requests share only the immutable engine, so results are
 //    bit-identical for any thread count).
 //
-// Numerical contract: the engine's greedy token output is IDENTICAL — token
-// for token, bit for bit — to Transformer::greedy_decode.  Every loop here
-// replicates the accumulation order (and the zero-skip of the NN GEMM kernel
-// in tensor.cpp) of the reference ops, and fusing the head projections keeps
-// each output column's dot product unchanged because GEMM columns are
-// independent.  tests/test_infer.cpp property-tests this on trained models.
+// Numerical contract: at the double tier the engine's greedy token output is
+// IDENTICAL — token for token, bit for bit — to Transformer::greedy_decode.
+// Every loop here replicates the accumulation order (and the zero-skip of the
+// NN GEMM kernel in tensor.cpp) of the reference ops, and fusing the head
+// projections keeps each output column's dot product unchanged because GEMM
+// columns are independent.  tests/test_infer.cpp property-tests this on
+// trained models and pins both tiers' logits bit for bit.
 #pragma once
 
-#include <memory>
+#include <tuple>
+#include <variant>
 #include <vector>
 
 #include "ml/precision.hpp"
@@ -38,73 +43,59 @@ class ThreadPool;
 
 namespace ota::ml {
 
-/// Greedy next-token choice over a (1, vocab) logits row: the lowest index
-/// of the maximum value.  The single argmax used by every decode path —
-/// greedy_decode, greedy_decode_batch, and the continuous-batching
-/// DecodeScheduler — so tie-breaking can never diverge between them.
-nlp::TokenId argmax_token(const Tensor& logits);
-
 /// One attention site with the head projections fused column-wise: column
 /// block [h*d_head, (h+1)*d_head) of wq/wk/wv is head h's projection.
-/// Templated on the tensor type so the double reference snapshot and the
-/// float32 fast-tier snapshot share one layout (TT = Tensor or TensorF).
+/// Templated on the tensor type (TT = Tensor or TensorF), like every weight
+/// struct below, so both precision tiers share one layout.
 template <typename TT>
-struct FusedAttentionWeightsT {
+struct FusedAttentionWeights {
   TT wq, wk, wv;  ///< (d_model, d_model)
   TT wo;          ///< (d_model, d_model)
   TT bo;          ///< (1, d_model)
 };
-using FusedAttentionWeights = FusedAttentionWeightsT<Tensor>;
 
 template <typename TT>
-struct FeedForwardWeightsT {
+struct FeedForwardWeights {
   TT w_in, b_in;    ///< (d_model, d_ff), (1, d_ff)
   TT w_out, b_out;  ///< (d_ff, d_model), (1, d_model)
 };
-using FeedForwardWeights = FeedForwardWeightsT<Tensor>;
 
 template <typename TT>
-struct LayerNormWeightsT {
+struct LayerNormWeights {
   TT gamma, beta;  ///< (1, d_model)
 };
-using LayerNormWeights = LayerNormWeightsT<Tensor>;
 
 template <typename TT>
-struct EncoderLayerWeightsT {
-  FusedAttentionWeightsT<TT> self;
-  FeedForwardWeightsT<TT> ffn;
-  LayerNormWeightsT<TT> norm1, norm2;
+struct EncoderLayerWeights {
+  FusedAttentionWeights<TT> self;
+  FeedForwardWeights<TT> ffn;
+  LayerNormWeights<TT> norm1, norm2;
 };
-using EncoderLayerWeights = EncoderLayerWeightsT<Tensor>;
 
 template <typename TT>
-struct DecoderLayerWeightsT {
-  FusedAttentionWeightsT<TT> self, cross;
-  FeedForwardWeightsT<TT> ffn;
-  LayerNormWeightsT<TT> norm1, norm2, norm3;
+struct DecoderLayerWeights {
+  FusedAttentionWeights<TT> self, cross;
+  FeedForwardWeights<TT> ffn;
+  LayerNormWeights<TT> norm1, norm2, norm3;
 };
-using DecoderLayerWeights = DecoderLayerWeightsT<Tensor>;
 
 class InferenceEngine {
  public:
-  /// Snapshots the model's weights — the double reference copy plus a
-  /// float32 mirror for the fast tier (taken in the same compile, so both
-  /// tiers are always available at decode time).  The engine keeps no
-  /// reference to the Transformer; retraining or mutating it does not
-  /// affect the engine.
+  /// Snapshots the model's weights at both tiers — the double reference copy
+  /// and a float32 copy narrowed from the same fused tensors (taken in the
+  /// same compile, so both tiers are always available at decode time).  The
+  /// engine keeps no reference to the Transformer; retraining or mutating it
+  /// does not affect the engine.
   explicit InferenceEngine(const Transformer& model);
 
   const TransformerConfig& config() const { return cfg_; }
 
-  /// Encoder memory (L, d_model); bit-identical to Transformer::encode at
-  /// inference settings.  Throws InvalidArgument for an empty input or one
-  /// longer than the positional table.
-  Tensor encode(const std::vector<nlp::TokenId>& src) const;
-
-  /// Float32-tier encoder memory: the same pass through the f32 weight
-  /// snapshot and SIMD kernels.  Exposed for the kernel-accuracy tests; the
-  /// decode paths reach it through Session's precision argument.
-  TensorF encode_f32(const std::vector<nlp::TokenId>& src) const;
+  /// Encoder memory (L, d_model) at the tier of TT (Tensor or TensorF, the
+  /// only two instantiations).  The Tensor result is bit-identical to
+  /// Transformer::encode at inference settings.  Throws InvalidArgument for
+  /// an empty input or one longer than the positional table.
+  template <typename TT>
+  TT encode(const std::vector<nlp::TokenId>& src) const;
 
   /// Greedy decode.  At Precision::kDouble (the default) the output is
   /// token-for-token identical to Transformer::greedy_decode (max_len is
@@ -158,49 +149,63 @@ class InferenceEngine {
     /// Number of tokens fed so far.
     int64_t length() const { return length_; }
 
-    Precision precision() const { return precision_; }
+    Precision precision() const {
+      return static_cast<Precision>(state_.index());
+    }
 
    private:
-    void step_f32(nlp::TokenId token);
+    /// One tier's decode state.
+    template <typename TT>
+    struct DecodeState {
+      using T = typename TT::value_type;
+      TT memory;  ///< (L_src, d_model)
+      /// Per decoder layer: cross-attention K/V (L_src, d_model), computed
+      /// once.
+      std::vector<TT> cross_k, cross_v;
+      /// Per decoder layer: self-attention KV cache, row-major (length_ rows
+      /// of d_model scalars), appended one row per step.
+      std::vector<std::vector<T>> self_k, self_v;
+      /// Scratch rows reused across steps (hot path: no per-token
+      /// allocation).  `logits` is only used by the f32 tier, which widens
+      /// it into Session::logits_.
+      std::vector<T> x, row, ctx, out, scores, ff, logits;
+    };
+
+    template <typename TT>
+    void init(const std::vector<nlp::TokenId>& src);
+    template <typename TT>
+    void step_impl(DecodeState<TT>& s, nlp::TokenId token);
 
     const InferenceEngine& eng_;
-    Precision precision_ = Precision::kDouble;
-    Tensor memory_;  ///< (L_src, d_model); double tier only
-    /// Per decoder layer: cross-attention K/V (L_src, d_model), computed once.
-    std::vector<Tensor> cross_k_, cross_v_;
-    /// Per decoder layer: self-attention KV cache, row-major (length_ rows of
-    /// d_model doubles), appended one row per step.
-    std::vector<std::vector<double>> self_k_, self_v_;
-    /// Scratch rows reused across steps (hot path: no per-token allocation).
-    std::vector<double> x_, row_, ctx_, out_, scores_, ff_;
-    /// Float32-tier state, the exact mirror of the double members above.
-    /// Only one tier's state is ever allocated per session.
-    TensorF memory_f_;
-    std::vector<TensorF> cross_kf_, cross_vf_;
-    std::vector<std::vector<float>> self_kf_, self_vf_;
-    std::vector<float> xf_, rowf_, ctxf_, outf_, scoresf_, fff_, logitsf_;
-    Tensor logits_;  ///< (1, vocab); f32 steps widen into it
+    /// The session's tier state; the alternative index is the Precision.
+    std::variant<DecodeState<Tensor>, DecodeState<TensorF>> state_;
+    Tensor logits_;  ///< (1, vocab), the row step() returns
     int64_t length_ = 0;
   };
 
  private:
-  friend class Session;
+  /// One tier's copy of every weight the engine reads.
+  template <typename TT>
+  struct Snapshot {
+    TT src_embed, tgt_embed;  ///< (vocab, d_model)
+    TT pos;                   ///< (max_len, d_model) positional table
+    std::vector<EncoderLayerWeights<TT>> encoder;
+    std::vector<DecoderLayerWeights<TT>> decoder;
+    TT out_w;  ///< (d_model, vocab)
+    TT out_b;  ///< (1, vocab)
+  };
+
+  template <typename TT>
+  static Snapshot<TT> build_snapshot(const Transformer& model, int64_t d_head);
+
+  template <typename TT>
+  const Snapshot<TT>& snapshot() const {
+    return std::get<Snapshot<TT>>(snapshots_);
+  }
 
   TransformerConfig cfg_;
   int64_t d_head_ = 0;
-  Tensor src_embed_, tgt_embed_;  ///< (vocab, d_model)
-  Tensor pos_;                    ///< (max_len, d_model) positional table
-  std::vector<EncoderLayerWeights> encoder_;
-  std::vector<DecoderLayerWeights> decoder_;
-  Tensor out_w_;  ///< (d_model, vocab)
-  Tensor out_b_;  ///< (1, vocab)
-
-  /// Float32 mirror of the whole snapshot, for Precision::kFloat32 sessions:
-  /// half the memory traffic per decode step on the same fused layout.
-  TensorF src_embed_f_, tgt_embed_f_, pos_f_;
-  std::vector<EncoderLayerWeightsT<TensorF>> encoder_f_;
-  std::vector<DecoderLayerWeightsT<TensorF>> decoder_f_;
-  TensorF out_w_f_, out_b_f_;
+  std::tuple<Snapshot<Tensor>, Snapshot<TensorF>> snapshots_;
 };
 
 }  // namespace ota::ml

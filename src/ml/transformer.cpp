@@ -86,19 +86,23 @@ std::vector<TokenId> Transformer::greedy_decode(const std::vector<TokenId>& src,
   std::vector<TokenId> out{Vocabulary::kBos};
   for (int64_t step = 0; step < steps; ++step) {
     const Var logits = decode(memory, out, /*training=*/false, inference_rng_);
-    const int64_t last = logits->value.rows() - 1;
-    TokenId best = 0;
-    double best_score = -1e300;
-    for (int64_t c = 0; c < logits->value.cols(); ++c) {
-      if (logits->value(last, c) > best_score) {
-        best_score = logits->value(last, c);
-        best = static_cast<TokenId>(c);
-      }
-    }
+    const TokenId best = argmax_token(logits->value, logits->value.rows() - 1);
     if (best == Vocabulary::kEos) break;
     out.push_back(best);
   }
   return {out.begin() + 1, out.end()};  // strip <bos>
+}
+
+TokenId argmax_token(const Tensor& logits, int64_t row) {
+  TokenId best = 0;
+  double best_score = -1e300;
+  for (int64_t c = 0; c < logits.cols(); ++c) {
+    if (logits(row, c) > best_score) {
+      best_score = logits(row, c);
+      best = static_cast<TokenId>(c);
+    }
+  }
+  return best;
 }
 
 void Transformer::copy_parameters_from(const Transformer& other) {

@@ -85,4 +85,11 @@ class Transformer {
   mutable Rng inference_rng_{0};  // dropout disabled at inference; unused draws
 };
 
+/// Greedy next-token choice over row `row` of a logits matrix: the lowest
+/// index of the maximum value.  The single argmax used by every decode path —
+/// Transformer::greedy_decode, InferenceEngine::greedy_decode(_batch) and the
+/// continuous-batching DecodeScheduler — so tie-breaking can never diverge
+/// between them.
+nlp::TokenId argmax_token(const Tensor& logits, int64_t row = 0);
+
 }  // namespace ota::ml

@@ -49,7 +49,7 @@ std::string layer_of(const std::string& site) {
 
 std::unique_ptr<core::PredictionClient::Handle> ScheduledPredictionClient::submit(
     const std::string& encoder_text, int max_tokens,
-    const core::CancelSignal& cancel) {
+    const CancelSignal& cancel) {
   class TicketHandle : public Handle {
    public:
     TicketHandle(const core::SizingModel& model,
@@ -68,18 +68,14 @@ std::unique_ptr<core::PredictionClient::Handle> ScheduledPredictionClient::submi
     std::shared_ptr<ml::DecodeScheduler::Ticket> ticket_;
   };
 
-  // The campaign's cancel flag and deadline ride into the scheduler, so a
-  // cancelled campaign's live decode retires from the dynamic batch at the
-  // next round instead of decoding to completion.
-  ml::DecodeScheduler::SubmitOptions sub;
-  sub.cancel = cancel.flag;
-  sub.deadline = cancel.deadline;
-  // Same tokenizer both ways as the serial path's predict_batch, so the
-  // round-tripped text is bit-identical to the reference client's.
+  // The campaign's cancel signal rides into the scheduler, so a cancelled
+  // campaign's live decode retires from the dynamic batch at the next round
+  // instead of decoding to completion.  Same tokenizer both ways as the
+  // serial path's predict_batch, so the round-tripped text is bit-identical
+  // to the reference client's.
   return std::make_unique<TicketHandle>(
       model_, scheduler_.submit(model_.tokenizer().encode(encoder_text),
-                                static_cast<int64_t>(max_tokens),
-                                std::move(sub)));
+                                static_cast<int64_t>(max_tokens), cancel));
 }
 
 // ---------------------------------------------------------------------------

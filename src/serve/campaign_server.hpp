@@ -70,7 +70,7 @@ class ScheduledPredictionClient : public core::PredictionClient {
   using core::PredictionClient::submit;
   std::unique_ptr<Handle> submit(const std::string& encoder_text,
                                  int max_tokens,
-                                 const core::CancelSignal& cancel) override;
+                                 const CancelSignal& cancel) override;
 
  private:
   const core::SizingModel& model_;

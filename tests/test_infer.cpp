@@ -108,15 +108,7 @@ TEST(InferenceEngine, IncrementalLogitsMatchFullRecompute) {
             << "step " << step << " column " << c;
       }
       // Continue along the greedy path.
-      TokenId best = 0;
-      double best_score = -1e300;
-      for (int64_t c = 0; c < incremental.cols(); ++c) {
-        if (incremental(0, c) > best_score) {
-          best_score = incremental(0, c);
-          best = static_cast<TokenId>(c);
-        }
-      }
-      prefix.push_back(best);
+      prefix.push_back(argmax_token(incremental));
     }
   }
 }
@@ -236,8 +228,8 @@ TEST(InferenceEngine, F32EncodeTracksDoubleEncode) {
   const Transformer& model = trained_model(9, 110);
   const InferenceEngine engine(model);
   for (const auto& src : probe_sources()) {
-    const Tensor want = engine.encode(src);
-    const TensorF got = engine.encode_f32(src);
+    const Tensor want = engine.encode<Tensor>(src);
+    const TensorF got = engine.encode<TensorF>(src);
     ASSERT_EQ(got.rows(), want.rows());
     ASSERT_EQ(got.cols(), want.cols());
     for (int64_t i = 0; i < want.size(); ++i) {
@@ -260,6 +252,39 @@ TEST(InferenceEngine, F32BatchBitIdenticalAcrossThreadCounts) {
       engine.greedy_decode_batch(srcs, 16, /*threads=*/8, Precision::kFloat32);
   ASSERT_EQ(serial.size(), srcs.size());
   EXPECT_EQ(serial, wide);
+}
+
+/// FNV-1a-64 over the raw bytes of a logits row, chained through `h`.
+uint64_t fnv1a(uint64_t h, const Tensor& row) {
+  const auto* bytes = reinterpret_cast<const unsigned char*>(row.data().data());
+  for (size_t i = 0; i < row.data().size() * sizeof(double); ++i) {
+    h = (h ^ bytes[i]) * 0x100000001b3ull;
+  }
+  return h;
+}
+
+TEST(InferenceEngine, SessionLogitsMatchPinnedReference) {
+  // Pins both tiers bit for bit: each tier steps 12 tokens along its own
+  // argmax path from every probe source, hashing every (widened) logits row.
+  // The constants were captured from a Release build before the two tiers
+  // shared one step body; any change to a kernel's accumulation order, the
+  // f32 narrowing or the widening moves them.
+  const InferenceEngine engine(trained_model(5, 60));
+  const auto hash_tier = [&](Precision precision) {
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (const auto& src : probe_sources()) {
+      InferenceEngine::Session session(engine, src, precision);
+      TokenId prev = Vocabulary::kBos;
+      for (int step = 0; step < 12; ++step) {
+        const Tensor& logits = session.step(prev);
+        h = fnv1a(h, logits);
+        prev = argmax_token(logits);
+      }
+    }
+    return h;
+  };
+  EXPECT_EQ(hash_tier(Precision::kDouble), 0x91cdc718c4e652aeull);
+  EXPECT_EQ(hash_tier(Precision::kFloat32), 0x2edc21f899f1c6c2ull);
 }
 
 TEST(InferenceEngine, ForgedPrecisionIsRefused) {

@@ -511,17 +511,17 @@ TEST_F(DeterminismTest, SchedulerPresetCancelAndPastDeadlineResolveCancelled) {
   ml::DecodeScheduler scheduler(engine);
 
   auto set_flag = std::make_shared<std::atomic<bool>>(true);
-  ml::DecodeScheduler::SubmitOptions cancelled_sub;
-  cancelled_sub.cancel = set_flag;
+  CancelSignal cancelled_sub;
+  cancelled_sub.flag = set_flag;
   auto cancelled_ticket = scheduler.submit(src, 64, cancelled_sub);
 
-  ml::DecodeScheduler::SubmitOptions expired_sub;
+  CancelSignal expired_sub;
   expired_sub.deadline =
       std::chrono::steady_clock::now() - std::chrono::seconds(1);
   auto expired_ticket = scheduler.submit(src, 64, expired_sub);
 
-  ml::DecodeScheduler::SubmitOptions generous_sub;
-  generous_sub.cancel = std::make_shared<std::atomic<bool>>(false);
+  CancelSignal generous_sub;
+  generous_sub.flag = std::make_shared<std::atomic<bool>>(false);
   generous_sub.deadline =
       std::chrono::steady_clock::now() + std::chrono::hours(1);
   auto generous_ticket = scheduler.submit(src, 64, generous_sub);

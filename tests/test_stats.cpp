@@ -13,6 +13,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
+#include "ml/infer.hpp"
 #include "par/thread_pool.hpp"
 
 // Sanitizer builds replace the allocator; skip the allocation-counting
@@ -291,6 +292,35 @@ TEST(StatsTest, ConcurrentAccumulationAndReport) {
             static_cast<uint64_t>(kThreads) * kIters);
   EXPECT_EQ(snap.at("test.conc.region").count,
             static_cast<uint64_t>(kThreads) * kIters);
+}
+
+// The decode session's layer regions: one ml.session.encode pass per
+// session and one ml.session.step pass per fed token, at either tier.
+TEST(StatsTest, SessionRecordsOneStepPassPerToken) {
+  ml::TransformerConfig cfg;
+  cfg.vocab_size = 10;
+  cfg.d_model = 16;
+  cfg.n_heads = 2;
+  cfg.n_layers = 1;
+  cfg.d_ff = 32;
+  cfg.max_len = 16;
+  cfg.dropout = 0.0;
+  const ml::InferenceEngine engine{ml::Transformer(cfg)};
+  constexpr uint64_t kSteps = 5;
+  for (ml::Precision tier : {ml::Precision::kDouble, ml::Precision::kFloat32}) {
+    ScopedStats scoped;
+    ml::InferenceEngine::Session session(engine, {4, 5, 6}, tier);
+    for (uint64_t i = 0; i < kSteps; ++i) {
+      (void)session.step(nlp::Vocabulary::kBos);
+    }
+    const auto snap = snapshot();
+    ASSERT_TRUE(snap.count("ml.session.encode")) << ml::precision_name(tier);
+    ASSERT_TRUE(snap.count("ml.session.step")) << ml::precision_name(tier);
+    EXPECT_EQ(snap.at("ml.session.encode").count, 1u)
+        << ml::precision_name(tier);
+    EXPECT_EQ(snap.at("ml.session.step").count, kSteps)
+        << ml::precision_name(tier);
+  }
 }
 
 }  // namespace
