@@ -44,6 +44,56 @@ constexpr uint64_t stream_seed(uint64_t seed, uint64_t stream) {
   return sm.next();
 }
 
+/// std::bernoulli_distribution(p) over a std::mt19937_64 draw, as one integer
+/// compare.  The distribution consumes exactly one 64-bit draw x and maps it
+/// monotonically to a double u(x) (libstdc++: x * 2^-64, clamped below 1)
+/// before testing u(x) < p, so the draws it accepts are exactly [0, T) for
+/// one threshold T.  The constructor finds T by bisection over the
+/// distribution itself, fed one fixed draw at a time, so the compare agrees
+/// with the library for every draw by construction; a hot loop then pays one
+/// uint64 compare per element instead of a uint64->double conversion and an
+/// unpredictable branch.  Requires 0 <= p <= 1, as the distribution does.
+class BernoulliThreshold {
+ public:
+  explicit BernoulliThreshold(double p) {
+    const auto accepts = [p](uint64_t x) {
+      FixedDraw draw{x};
+      return std::bernoulli_distribution(p)(draw);
+    };
+    always_ = accepts(FixedDraw::max());
+    if (always_) return;
+    uint64_t lo = 0, hi = FixedDraw::max();  // accepts(hi) is false
+    while (lo < hi) {
+      const uint64_t mid = lo + (hi - lo) / 2;
+      if (accepts(mid)) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    below_ = lo;
+  }
+
+  /// What std::bernoulli_distribution(p) returns for the engine draw `x`.
+  bool operator()(uint64_t x) const { return always_ || x < below_; }
+
+  /// T, the first rejected draw.  Unused when p accepts every draw.
+  uint64_t threshold() const { return below_; }
+
+ private:
+  /// A generator that returns one preset mt19937_64-range value.
+  struct FixedDraw {
+    using result_type = std::mt19937_64::result_type;
+    static constexpr result_type min() { return std::mt19937_64::min(); }
+    static constexpr result_type max() { return std::mt19937_64::max(); }
+    result_type operator()() const { return x; }
+    result_type x;
+  };
+
+  uint64_t below_ = 0;
+  bool always_ = false;
+};
+
 /// A seeded pseudo-random source.  Thin wrapper over std::mt19937_64 with the
 /// handful of draw shapes the library needs.
 class Rng {
@@ -68,11 +118,6 @@ class Rng {
   /// Standard normal scaled by `stddev` around `mean`.
   double normal(double mean = 0.0, double stddev = 1.0) {
     return std::normal_distribution<double>(mean, stddev)(engine_);
-  }
-
-  /// Bernoulli draw with probability `p` of true.
-  bool bernoulli(double p) {
-    return std::bernoulli_distribution(p)(engine_);
   }
 
   /// Log-uniform draw in [lo, hi]; natural for width sweeps spanning decades.

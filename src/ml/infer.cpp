@@ -87,8 +87,8 @@ void add_bias_row(T* x, const TT& bias) {
   for (int64_t c = 0; c < bias.cols(); ++c) x[c] += bias(0, c);
 }
 
-/// In-place softmax over s[0..n), same max/exp/normalize order as
-/// softmax_rows in ops.cpp.
+/// In-place softmax over s[0..n), same max/exp/normalize order as the
+/// softmax inside attention_probs in ops.cpp, over the visible columns only.
 template <typename T>
 void softmax_row(T* s, int64_t n) {
   T mx = score_floor<T>();

@@ -75,10 +75,8 @@ Var MultiHeadAttention::forward(const Var& query, const Var& key_value,
     const Var q = matmul(query, h.wq);
     const Var k = matmul(key_value, h.wk);
     const Var v = matmul(key_value, h.wv);
-    Var scores = scale(matmul_nt(q, k), inv_sqrt_dk);
-    if (causal) scores = causal_mask(scores);
-    Var attn = softmax_rows(scores);
-    attn = dropout(attn, dropout_p, training, rng);
+    const Var attn = attention_probs(matmul_nt(q, k), inv_sqrt_dk, causal,
+                                     dropout_p, training, rng);
     outputs.push_back(matmul(attn, v));
   }
   return add_bias(matmul(concat_cols(outputs), wo_), bo_);

@@ -1,6 +1,8 @@
 #include "ml/ops.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
 
 namespace ota::ml {
 
@@ -10,6 +12,31 @@ void check_same_shape(const Var& a, const Var& b, const char* op) {
   if (!a->value.same_shape(b->value)) {
     throw InvalidArgument(std::string(op) + ": shape mismatch");
   }
+}
+
+// The score a causally masked attention entry gets before the softmax.
+constexpr double kMaskedScore = -1e30;
+
+// Whether dropout at rate p draws a mask.  A non-finite rate is refused even
+// at inference: no model can have been configured with one.
+bool dropout_active(double p, bool training) {
+  if (!std::isfinite(p)) throw InvalidArgument("dropout: p must be finite");
+  if (!training || p <= 0.0) return false;
+  if (p >= 1.0) throw InvalidArgument("dropout: p must be < 1");
+  return true;
+}
+
+// Inverted-dropout mask: 1/keep where the element is kept, 0 elsewhere.  One
+// engine draw per element in row-major order, kept exactly when
+// std::bernoulli_distribution(keep) would keep it.
+std::shared_ptr<const Tensor> dropout_mask(int64_t rows, int64_t cols,
+                                           double p, Rng& rng) {
+  auto mask = std::make_shared<Tensor>(rows, cols);
+  const double keep = 1.0 - p;
+  const BernoulliThreshold kept(keep);
+  auto& engine = rng.engine();
+  for (double& m : mask->data()) m = kept(engine()) ? 1.0 / keep : 0.0;
+  return mask;
 }
 
 }  // namespace
@@ -137,45 +164,65 @@ Var transpose(const Var& a) {
   });
 }
 
-Var softmax_rows(const Var& a) {
-  Tensor out = a->value;
-  for (int64_t r = 0; r < out.rows(); ++r) {
+Var attention_probs(const Var& scores, double scale, bool causal,
+                    double dropout_p, bool training, Rng& rng) {
+  const bool drop = dropout_active(dropout_p, training);
+  const int64_t rows = scores->value.rows(), cols = scores->value.cols();
+  // First causally masked column of row r (cols when nothing is masked).
+  const auto open_cols = [causal, cols](int64_t r) {
+    return causal ? std::min(r + 1, cols) : cols;
+  };
+  auto probs = std::make_shared<Tensor>(scores->value);
+  for (int64_t r = 0; r < rows; ++r) {
+    double* x = &(*probs)(r, 0);
+    const int64_t open = open_cols(r);
+    for (int64_t c = 0; c < open; ++c) x[c] *= scale;
+    for (int64_t c = open; c < cols; ++c) x[c] = kMaskedScore;
     double mx = -1e300;
-    for (int64_t c = 0; c < out.cols(); ++c) mx = std::max(mx, out(r, c));
+    for (int64_t c = 0; c < cols; ++c) mx = std::max(mx, x[c]);
+    // Every masked entry has the same exponent, so one exp covers them all.
+    const double masked = open < cols ? std::exp(kMaskedScore - mx) : 0.0;
     double denom = 0.0;
-    for (int64_t c = 0; c < out.cols(); ++c) {
-      out(r, c) = std::exp(out(r, c) - mx);
-      denom += out(r, c);
+    for (int64_t c = 0; c < open; ++c) {
+      x[c] = std::exp(x[c] - mx);
+      denom += x[c];
     }
-    for (int64_t c = 0; c < out.cols(); ++c) out(r, c) /= denom;
-  }
-  return make_node(std::move(out), {a}, [a](Node& n) {
-    if (!a->requires_grad) return;
-    // dL/dx_j = s_j * (g_j - sum_k g_k s_k) per row.
-    Tensor& g = a->ensure_grad();
-    for (int64_t r = 0; r < n.value.rows(); ++r) {
-      double dot = 0.0;
-      for (int64_t c = 0; c < n.value.cols(); ++c) {
-        dot += n.grad(r, c) * n.value(r, c);
-      }
-      for (int64_t c = 0; c < n.value.cols(); ++c) {
-        g(r, c) += n.value(r, c) * (n.grad(r, c) - dot);
-      }
+    for (int64_t c = open; c < cols; ++c) {
+      x[c] = masked;
+      denom += x[c];
     }
-  });
-}
-
-Var causal_mask(const Var& scores) {
-  Tensor out = scores->value;
-  for (int64_t r = 0; r < out.rows(); ++r) {
-    for (int64_t c = r + 1; c < out.cols(); ++c) out(r, c) = -1e30;
+    for (int64_t c = 0; c < cols; ++c) x[c] /= denom;
   }
-  return make_node(std::move(out), {scores}, [scores](Node& n) {
+  std::shared_ptr<const Tensor> mask;
+  Tensor out;
+  if (drop) {
+    mask = dropout_mask(rows, cols, dropout_p, rng);
+    out = *probs;
+    for (int64_t i = 0; i < out.size(); ++i) out.at(i) *= mask->at(i);
+  } else {
+    out = std::move(*probs);
+    probs.reset();  // the node's own value is the probabilities
+  }
+  return make_node(std::move(out), {scores},
+                   [scores, scale, open_cols, probs, mask](Node& n) {
     if (!scores->requires_grad) return;
+    const Tensor& p = probs ? *probs : n.value;
+    const int64_t cols = p.cols();
     Tensor& g = scores->ensure_grad();
-    for (int64_t r = 0; r < n.grad.rows(); ++r) {
-      for (int64_t c = 0; c <= std::min(r, n.grad.cols() - 1); ++c) {
-        g(r, c) += n.grad(r, c);
+    std::vector<double> gp(static_cast<size_t>(cols));
+    for (int64_t r = 0; r < p.rows(); ++r) {
+      // In the separate-op chain each stage's gradient is added into a fresh
+      // zero tensor; the `0.0 +` (which turns -0.0 into +0.0) keeps that.
+      for (int64_t c = 0; c < cols; ++c) {
+        gp[c] = mask ? 0.0 + n.grad(r, c) * (*mask)(r, c) : n.grad(r, c);
+      }
+      // dL/dx_j = s_j * (g_j - sum_k g_k s_k) per row.
+      double dot = 0.0;
+      for (int64_t c = 0; c < cols; ++c) dot += gp[c] * p(r, c);
+      const int64_t open = open_cols(r);
+      for (int64_t c = 0; c < cols; ++c) {
+        const double gx = c < open ? 0.0 + p(r, c) * (gp[c] - dot) : 0.0;
+        g(r, c) += scale * gx;
       }
     }
   });
@@ -305,13 +352,8 @@ Var concat_cols(const std::vector<Var>& parts) {
 }
 
 Var dropout(const Var& a, double p, bool training, Rng& rng) {
-  if (!training || p <= 0.0) return a;
-  if (p >= 1.0) throw InvalidArgument("dropout: p must be < 1");
-  auto mask = std::make_shared<Tensor>(a->value.rows(), a->value.cols());
-  const double keep = 1.0 - p;
-  for (int64_t i = 0; i < mask->size(); ++i) {
-    mask->at(i) = rng.bernoulli(keep) ? 1.0 / keep : 0.0;
-  }
+  if (!dropout_active(p, training)) return a;
+  auto mask = dropout_mask(a->value.rows(), a->value.cols(), p, rng);
   Tensor out = a->value;
   for (int64_t i = 0; i < out.size(); ++i) out.at(i) *= mask->at(i);
   return make_node(std::move(out), {a}, [a, mask](Node& n) {

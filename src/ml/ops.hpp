@@ -22,10 +22,13 @@ Var scale(const Var& a, double c);
 Var relu(const Var& a);
 Var transpose(const Var& a);
 
-/// Softmax along each row.
-Var softmax_rows(const Var& a);
-/// Adds -inf (−1e30) above the diagonal before softmax consumers: causal mask.
-Var causal_mask(const Var& scores);
+/// Attention probabilities of raw scores (Lq,Lk) as one node: dropout of the
+/// row softmax of scores * scale, where the causal mask first sets every
+/// entry above the diagonal to -1e30.  Bit for bit what that chain of
+/// separate ops gives, forward and backward, without its intermediate
+/// tensors.  Dropout is as dropout() below, drawn after the softmax.
+Var attention_probs(const Var& scores, double scale, bool causal,
+                    double dropout_p, bool training, Rng& rng);
 
 /// Row-wise layer normalization with learned gain/bias (1,n).
 Var layer_norm(const Var& a, const Var& gamma, const Var& beta,
@@ -37,7 +40,8 @@ Var embedding(const Var& table, const std::vector<nlp::TokenId>& ids);
 /// Horizontal concatenation of equal-row tensors (the multi-head join).
 Var concat_cols(const std::vector<Var>& parts);
 
-/// Inverted dropout; identity when !training or p == 0.
+/// Inverted dropout; identity when !training or p <= 0.  Throws
+/// InvalidArgument for a non-finite p, or for p >= 1 when training.
 Var dropout(const Var& a, double p, bool training, Rng& rng);
 
 /// Sum of all elements -> scalar.

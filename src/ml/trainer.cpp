@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/stats.hpp"
+
 namespace ota::ml {
 
 namespace {
@@ -57,6 +59,7 @@ double DataParallelTrainer::train_batch(
         Transformer& rep = *replicas_[chunk];
         const auto& rp = rep.parameters();
         for (size_t i = begin; i < end; ++i) {
+          STAT_REGION("ml.train.forward_backward");
           Rng rng(dropout_seed, first_stream + i);
           const TrainExample& ex = *batch[i];
           const Var l = rep.loss(ex.src, ex.tgt, ex.weights, rng);
@@ -78,26 +81,34 @@ double DataParallelTrainer::train_batch(
   // parallel (each parameter's sum runs in ascending example order, so the
   // result is independent of the sharding), with the squared clip norm
   // accumulated in the same sweep.
-  std::vector<double> sumsq(np, 0.0);
-  pool_.parallel_for(np, [&](size_t begin, size_t end) {
-    for (size_t p = begin; p < end; ++p) {
-      Node& param = *params[p];
-      Tensor& g = param.ensure_grad();
-      for (size_t i = 0; i < bsz; ++i) {
-        const Tensor& s = slots_[i][p];
-        if (!s.same_shape(g)) continue;  // parameter unused by this example
-        for (int64_t k = 0; k < g.size(); ++k) g.at(k) += s.at(k);
-      }
-      double acc = 0.0;
-      for (int64_t k = 0; k < g.size(); ++k) acc += g.at(k) * g.at(k);
-      sumsq[p] = acc;
-    }
-  });
   double total_sq = 0.0;
-  for (double v : sumsq) total_sq += v;  // fixed parameter order
-
-  adam_.step_presquared(total_sq);
-  sync_replicas();
+  {
+    STAT_REGION("ml.train.reduce");
+    std::vector<double> sumsq(np, 0.0);
+    pool_.parallel_for(np, [&](size_t begin, size_t end) {
+      for (size_t p = begin; p < end; ++p) {
+        Node& param = *params[p];
+        Tensor& g = param.ensure_grad();
+        for (size_t i = 0; i < bsz; ++i) {
+          const Tensor& s = slots_[i][p];
+          if (!s.same_shape(g)) continue;  // parameter unused by this example
+          for (int64_t k = 0; k < g.size(); ++k) g.at(k) += s.at(k);
+        }
+        double acc = 0.0;
+        for (int64_t k = 0; k < g.size(); ++k) acc += g.at(k) * g.at(k);
+        sumsq[p] = acc;
+      }
+    });
+    for (double v : sumsq) total_sq += v;  // fixed parameter order
+  }
+  {
+    STAT_REGION("ml.train.adam");
+    adam_.step_presquared(total_sq);
+  }
+  {
+    STAT_REGION("ml.train.sync");
+    sync_replicas();
+  }
 
   double total = 0.0;
   for (double v : losses_) total += v;  // fixed example order

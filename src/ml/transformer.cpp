@@ -15,6 +15,10 @@ Transformer::Transformer(const TransformerConfig& config)
   if (cfg_.vocab_size <= 0) {
     throw InvalidArgument("Transformer: vocab_size must be set");
   }
+  // The same range the model-file loader accepts, so a trained model reloads.
+  if (!(cfg_.dropout >= 0.0 && cfg_.dropout < 1.0)) {
+    throw InvalidArgument("Transformer: dropout must be finite and in [0, 1)");
+  }
   Rng rng(cfg_.seed);
   src_embed_ = reg_.track(
       parameter(Tensor::xavier(cfg_.vocab_size, cfg_.d_model, rng)), "src_embed");

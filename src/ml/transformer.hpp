@@ -22,7 +22,7 @@ struct TransformerConfig {
   int64_t n_layers = 2;     ///< encoder and decoder stack depth (paper: 6)
   int64_t d_ff = 128;       ///< position-wise FFN width
   int64_t max_len = 1024;   ///< positional table size
-  double dropout = 0.1;
+  double dropout = 0.1;     ///< finite, in [0, 1); checked by Transformer
   uint64_t seed = 1234;
 };
 

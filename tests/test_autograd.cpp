@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <memory>
+#include <random>
 
 #include "common/rng.hpp"
 
@@ -89,25 +92,152 @@ TEST_F(AutogradTest, TransposeGradient) {
   gradcheck([&] { return sum(mul(transpose(a), transpose(m))); }, a);
 }
 
-TEST_F(AutogradTest, SoftmaxGradient) {
+TEST_F(AutogradTest, AttentionProbsGradient) {
   Var a = parameter(random_tensor(3, 4, rng));
   Var w = constant(random_tensor(3, 4, rng));
-  gradcheck([&] { return sum(mul(softmax_rows(a), w)); }, a, 1e-5);
+  const auto probs = [&] { return attention_probs(a, 0.7, false, 0.0, false, rng); };
+  gradcheck([&] { return sum(mul(probs(), w)); }, a, 1e-5);
 }
 
-TEST_F(AutogradTest, CausalMaskGradient) {
+TEST_F(AutogradTest, AttentionProbsCausalGradient) {
   Var a = parameter(random_tensor(4, 4, rng));
   Var w = constant(random_tensor(4, 4, rng));
-  gradcheck([&] { return sum(mul(softmax_rows(causal_mask(a)), w)); }, a, 1e-5);
+  const auto probs = [&] { return attention_probs(a, 0.7, true, 0.0, false, rng); };
+  gradcheck([&] { return sum(mul(probs(), w)); }, a, 1e-5);
+  // With dropout on: a fresh stream per evaluation keeps the mask fixed.
+  gradcheck([&] {
+    Rng local(11);
+    return sum(mul(attention_probs(a, 0.7, true, 0.3, true, local), w));
+  }, a, 1e-5);
 }
 
 TEST_F(AutogradTest, CausalMaskZerosUpperTriangle) {
   Var a = constant(random_tensor(3, 3, rng));
-  const Var m = softmax_rows(causal_mask(a));
+  const Var m = attention_probs(a, 1.0, /*causal=*/true, 0.0, false, rng);
   EXPECT_NEAR(m->value(0, 1), 0.0, 1e-12);
   EXPECT_NEAR(m->value(0, 2), 0.0, 1e-12);
   EXPECT_NEAR(m->value(1, 2), 0.0, 1e-12);
   EXPECT_NEAR(m->value(0, 0), 1.0, 1e-12);  // row sums to one on the diagonal
+}
+
+// The chain attention_probs fuses, as separate ops: the oracle for its
+// bit-for-bit test below.
+Var softmax_rows(const Var& a) {
+  Tensor out = a->value;
+  for (int64_t r = 0; r < out.rows(); ++r) {
+    double mx = -1e300;
+    for (int64_t c = 0; c < out.cols(); ++c) mx = std::max(mx, out(r, c));
+    double denom = 0.0;
+    for (int64_t c = 0; c < out.cols(); ++c) {
+      out(r, c) = std::exp(out(r, c) - mx);
+      denom += out(r, c);
+    }
+    for (int64_t c = 0; c < out.cols(); ++c) out(r, c) /= denom;
+  }
+  return make_node(std::move(out), {a}, [a](Node& n) {
+    if (!a->requires_grad) return;
+    Tensor& g = a->ensure_grad();
+    for (int64_t r = 0; r < n.value.rows(); ++r) {
+      double dot = 0.0;
+      for (int64_t c = 0; c < n.value.cols(); ++c) {
+        dot += n.grad(r, c) * n.value(r, c);
+      }
+      for (int64_t c = 0; c < n.value.cols(); ++c) {
+        g(r, c) += n.value(r, c) * (n.grad(r, c) - dot);
+      }
+    }
+  });
+}
+
+Var causal_mask(const Var& scores) {
+  Tensor out = scores->value;
+  for (int64_t r = 0; r < out.rows(); ++r) {
+    for (int64_t c = r + 1; c < out.cols(); ++c) out(r, c) = -1e30;
+  }
+  return make_node(std::move(out), {scores}, [scores](Node& n) {
+    if (!scores->requires_grad) return;
+    Tensor& g = scores->ensure_grad();
+    for (int64_t r = 0; r < n.grad.rows(); ++r) {
+      for (int64_t c = 0; c <= std::min(r, n.grad.cols() - 1); ++c) {
+        g(r, c) += n.grad(r, c);
+      }
+    }
+  });
+}
+
+// Inverted dropout drawing each keep flag from std::bernoulli_distribution.
+Var bernoulli_dropout(const Var& a, double p, bool training, Rng& rng) {
+  if (!training || p <= 0.0) return a;
+  auto mask = std::make_shared<Tensor>(a->value.rows(), a->value.cols());
+  const double keep = 1.0 - p;
+  for (int64_t i = 0; i < mask->size(); ++i) {
+    mask->at(i) = std::bernoulli_distribution(keep)(rng.engine()) ? 1.0 / keep : 0.0;
+  }
+  Tensor out = a->value;
+  for (int64_t i = 0; i < out.size(); ++i) out.at(i) *= mask->at(i);
+  return make_node(std::move(out), {a}, [a, mask](Node& n) {
+    if (!a->requires_grad) return;
+    Tensor& g = a->ensure_grad();
+    for (int64_t i = 0; i < g.size(); ++i) g.at(i) += n.grad.at(i) * mask->at(i);
+  });
+}
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.same_shape(b) &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.data().size() * sizeof(double)) == 0;
+}
+
+TEST_F(AutogradTest, AttentionProbsMatchesSeparateOpsBitForBit) {
+  struct Case {
+    int64_t rows, cols;
+    bool causal;
+    double dropout_p;
+    double score_offset;  // after scaling; -1e30 puts open scores at the mask value
+  };
+  const Case cases[] = {
+      {5, 5, true, 0.0, 0.0},    {5, 5, true, 0.4, 0.0},
+      {7, 7, true, 0.1, 0.0},    {4, 7, false, 0.0, 0.0},
+      {7, 4, false, 0.4, 0.0},   {3, 6, true, 0.4, 0.0},
+      {6, 3, true, 0.0, 0.0},    {5, 5, true, 0.4, -1e30},
+  };
+  for (const Case& tc : cases) {
+    SCOPED_TRACE(::testing::Message()
+                 << tc.rows << "x" << tc.cols << " causal " << tc.causal
+                 << " p " << tc.dropout_p << " offset " << tc.score_offset);
+    const double inv_sqrt_dk = 1.0 / std::sqrt(6.0);
+    Tensor s = random_tensor(tc.rows, tc.cols, rng, 3.0);
+    for (auto& v : s.data()) v += tc.score_offset / inv_sqrt_dk;
+    // Zeros in the upstream gradient make -0.0 products along the chain.
+    Tensor w = random_tensor(tc.rows, tc.cols, rng);
+    for (int64_t i = 0; i < w.size(); i += 3) w.at(i) = i % 2 ? -0.0 : 0.0;
+
+    Rng fused_rng(5), chain_rng(5);
+    const Var fused_scores = parameter(s);
+    const Var fused = attention_probs(fused_scores, inv_sqrt_dk, tc.causal,
+                                      tc.dropout_p, true, fused_rng);
+    backward(sum(mul(fused, constant(w))));
+
+    const Var chain_scores = parameter(s);
+    Var x = scale(chain_scores, inv_sqrt_dk);
+    if (tc.causal) x = causal_mask(x);
+    const Var chain =
+        bernoulli_dropout(softmax_rows(x), tc.dropout_p, true, chain_rng);
+    backward(sum(mul(chain, constant(w))));
+
+    EXPECT_TRUE(same_bits(fused->value, chain->value));
+    EXPECT_TRUE(same_bits(fused_scores->grad, chain_scores->grad));
+    EXPECT_EQ(fused_rng.engine()(), chain_rng.engine()());  // same draws used
+  }
+}
+
+TEST_F(AutogradTest, AttentionProbsRejectsNonFiniteDropout) {
+  Var a = parameter(random_tensor(3, 3, rng));
+  for (double p : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    EXPECT_THROW(attention_probs(a, 1.0, true, p, true, rng), InvalidArgument);
+    EXPECT_THROW(attention_probs(a, 1.0, true, p, false, rng), InvalidArgument);
+  }
+  EXPECT_THROW(attention_probs(a, 1.0, true, 1.0, true, rng), InvalidArgument);
 }
 
 TEST_F(AutogradTest, LayerNormGradient) {
@@ -189,6 +319,15 @@ TEST_F(AutogradTest, DropoutPreservesExpectation) {
   for (double v : out->value.data()) mean += v;
   mean /= static_cast<double>(out->value.size());
   EXPECT_NEAR(mean, 1.0, 0.05);  // inverted dropout keeps E[x]
+}
+
+TEST_F(AutogradTest, DropoutRejectsNonFiniteRate) {
+  Var a = parameter(random_tensor(3, 3, rng));
+  for (double p : {std::nan(""), HUGE_VAL, -HUGE_VAL}) {
+    EXPECT_THROW(dropout(a, p, /*training=*/true, rng), InvalidArgument);
+    EXPECT_THROW(dropout(a, p, /*training=*/false, rng), InvalidArgument);
+  }
+  EXPECT_THROW(dropout(a, 1.0, /*training=*/true, rng), InvalidArgument);
 }
 
 TEST_F(AutogradTest, BackwardRequiresScalarRoot) {

@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <random>
 #include <thread>
 
 #include "common/rng.hpp"
@@ -76,6 +77,37 @@ TEST_F(DeterminismTest, SplitMix64StreamsAreDistinctAndStable) {
   const double va = a.uniform(), vb = b.uniform();
   EXPECT_NE(va, vb);
   EXPECT_EQ(va, a2.uniform());
+}
+
+// Dropout's integer-threshold keep test against the distribution it stands
+// in for: the same engine state must give the same answer, draw for draw,
+// and the draws on each side of the threshold must fall where the
+// distribution puts them.
+TEST_F(DeterminismTest, BernoulliThresholdMatchesDistribution) {
+  struct PresetDraw {
+    using result_type = std::mt19937_64::result_type;
+    static constexpr result_type min() { return std::mt19937_64::min(); }
+    static constexpr result_type max() { return std::mt19937_64::max(); }
+    result_type operator()() const { return x; }
+    result_type x;
+  };
+  constexpr uint64_t kMax = std::mt19937_64::max();
+  for (double p : {0.0, 0x1p-60, 0.05, 0.5, 0.95, 1.0 - 0x1p-53, 1.0}) {
+    SCOPED_TRACE(::testing::Message() << std::hexfloat << p);
+    const BernoulliThreshold kept(p);
+    std::mt19937_64 engine(2024);
+    std::mt19937_64 copy = engine;
+    for (int i = 0; i < 20000; ++i) {
+      const bool want = std::bernoulli_distribution(p)(engine);
+      ASSERT_EQ(kept(copy()), want) << "draw " << i;
+    }
+    const uint64_t t = kept.threshold();
+    for (uint64_t x : {uint64_t{0}, uint64_t{1}, t - 2, t - 1, t, t + 1,
+                       t + 2, kMax - 1, kMax}) {
+      PresetDraw draw{x};
+      EXPECT_EQ(kept(x), std::bernoulli_distribution(p)(draw)) << x;
+    }
+  }
 }
 
 TEST_F(DeterminismTest, DatasetBitIdenticalAcrossThreadCounts) {
@@ -283,6 +315,53 @@ TEST_F(DeterminismTest, TrainingBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(h1.train_loss, h3.train_loss);
   EXPECT_EQ(h1.val_loss, h3.val_loss);
   expect_same_weights(serial, par3);
+}
+
+uint64_t fnv1a(uint64_t h, const void* data, size_t bytes) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < bytes; ++i) h = (h ^ p[i]) * 0x100000001b3ull;
+  return h;
+}
+
+TEST_F(DeterminismTest, TrainingMatchesPinnedReference) {
+  // Pins dropout-on training bit for bit: every epoch's train/val loss and
+  // the final weights, hashed with FNV-1a-64.  The shapes are chosen to hit
+  // the GEMM kernels' edge paths: d_head = 18 / 3 = 6 and d_ff = 30 are not
+  // multiples of the 4-wide register tiles, and neither are most sequence
+  // lengths.  The constant was captured from a Release build before the
+  // register-tiled TN kernel, the integer-threshold dropout and the fused
+  // attention node; any change to an accumulation order, a dropout draw or
+  // a signed zero moves it.
+  const auto pairs = synthetic_pairs(17);
+  const auto train_hash = [&](int threads) {
+    TrainOptions opt = tiny_train_options(threads);
+    opt.epochs = 3;
+    opt.batch_size = 4;
+    opt.d_model = 18;
+    opt.n_heads = 3;
+    opt.d_ff = 30;
+    opt.n_layers = 1;
+    SizingModel model;
+    const TrainHistory h = model.train(pairs, opt);
+    int not_multiple_of_4 = 0;
+    for (const auto& [enc, dec] : pairs) {
+      not_multiple_of_4 += model.tokenizer().encode(enc).size() % 4 != 0;
+      not_multiple_of_4 += model.tokenizer().encode(dec).size() % 4 != 0;
+    }
+    EXPECT_GT(not_multiple_of_4, 0);
+    uint64_t hash = 0xcbf29ce484222325ull;
+    for (size_t e = 0; e < h.train_loss.size(); ++e) {
+      hash = fnv1a(hash, &h.train_loss[e], sizeof(double));
+      hash = fnv1a(hash, &h.val_loss[e], sizeof(double));
+    }
+    for (const auto& p : model.transformer().parameters()) {
+      hash = fnv1a(hash, p->value.data().data(),
+                   p->value.data().size() * sizeof(double));
+    }
+    return hash;
+  };
+  EXPECT_EQ(train_hash(1), 0x69391d013a91d6fcull);
+  EXPECT_EQ(train_hash(4), 0x69391d013a91d6fcull);
 }
 
 TEST_F(DeterminismTest, TrainingSeedsDiffer) {

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <map>
 #include <utility>
@@ -451,6 +452,45 @@ TEST(SizingModelInfer, LoadRejectsCorruptV2Header) {
   EXPECT_THROW((void)loaded.load(prefix), InvalidArgument);
   std::remove((prefix + ".bpe").c_str());
   std::remove((prefix + ".model").c_str());
+}
+
+TEST(SizingModelInfer, EveryAcceptedDropoutRateReloads) {
+  // train() and load() accept the same dropout range: a rate train() takes
+  // must never produce a file load() calls corrupt, and a rate load() would
+  // refuse (negative, >= 1, non-finite) is refused before training.
+  std::vector<std::pair<std::string, std::string>> pairs;
+  for (int i = 0; i < 4; ++i) {
+    pairs.emplace_back("gain=" + std::to_string(40 + i),
+                       "gmM1=" + std::to_string(1 + i) + "e-3");
+  }
+  TrainOptions opt;
+  opt.epochs = 1;
+  opt.d_model = 8;
+  opt.n_heads = 2;
+  opt.n_layers = 1;
+  opt.d_ff = 16;
+  opt.bpe_merges = 8;
+  opt.max_len = 64;
+  const std::string prefix =
+      (std::filesystem::temp_directory_path() / "ota_infer_dropout").string();
+  for (double rate : {0.0, -0.0, 0.05, 0.5, std::nextafter(1.0, 0.0)}) {
+    SizingModel model;
+    opt.dropout = rate;
+    model.train(pairs, opt);
+    model.save(prefix);
+    SizingModel loaded;
+    EXPECT_TRUE(loaded.load(prefix)) << rate;
+    EXPECT_EQ(loaded.predict("gain=41", 16), model.predict("gain=41", 16))
+        << rate;
+  }
+  std::remove((prefix + ".bpe").c_str());
+  std::remove((prefix + ".model").c_str());
+  for (double rate : {-0.1, 1.0, std::nan(""), HUGE_VAL}) {
+    SizingModel model;
+    opt.dropout = rate;
+    EXPECT_THROW(model.train(pairs, opt), InvalidArgument) << rate;
+    EXPECT_THROW((void)model.predict("gain=41", 16), InvalidArgument) << rate;
+  }
 }
 
 TEST(SizingModelInfer, LoadRejectsUnrecognizedModelFile) {

@@ -13,6 +13,7 @@
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
+#include "core/sizing_model.hpp"
 #include "ml/infer.hpp"
 #include "par/thread_pool.hpp"
 
@@ -320,6 +321,42 @@ TEST(StatsTest, SessionRecordsOneStepPassPerToken) {
         << ml::precision_name(tier);
     EXPECT_EQ(snap.at("ml.session.step").count, kSteps)
         << ml::precision_name(tier);
+  }
+}
+
+// The training step's phase regions: one ml.train.forward_backward pass per
+// example and one ml.train.{reduce,adam,sync} pass per batch, for any lane
+// count.
+TEST(StatsTest, TrainingPhaseCountsAreThreadCountInvariant) {
+  std::vector<std::pair<std::string, std::string>> pairs;
+  for (int i = 0; i < 5; ++i) {
+    pairs.emplace_back("gain=" + std::to_string(40 + i),
+                       "gmM1=" + std::to_string(1 + i) + "e-3");
+  }
+  core::TrainOptions opt;
+  opt.epochs = 2;
+  opt.batch_size = 3;  // 5 examples (none held out): batches of 3 and 2
+  opt.val_fraction = 0.0;
+  opt.d_model = 8;
+  opt.n_heads = 2;
+  opt.n_layers = 1;
+  opt.d_ff = 16;
+  opt.bpe_merges = 8;
+  opt.max_len = 64;
+  opt.dropout = 0.1;
+  for (int threads : {1, 3}) {
+    opt.threads = threads;
+    core::SizingModel model;
+    ScopedStats scoped;
+    (void)model.train(pairs, opt);
+    const auto snap = snapshot();
+    const std::pair<const char*, uint64_t> expected[] = {
+        {"ml.train.forward_backward", 10}, {"ml.train.reduce", 4},
+        {"ml.train.adam", 4}, {"ml.train.sync", 4}};
+    for (const auto& [site, count] : expected) {
+      ASSERT_TRUE(snap.count(site)) << site << " at " << threads;
+      EXPECT_EQ(snap.at(site).count, count) << site << " at " << threads;
+    }
   }
 }
 

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/rng.hpp"
 #include "ml/tensor.hpp"
@@ -135,6 +136,47 @@ TEST(TensorTest, AccumulateVariantsAddOntoExistingOutput) {
     c = seed;
     matmul_tn_acc(tn_a, nn_b, c);
     expect_close(c, ref_tn(tn_a, nn_b, seed), "TN acc", s.k);
+  }
+}
+
+// The TN kernel keeps each C element's naive order: its stored value, then
+// one product added per p, ascending.  Checked bit for bit, signed zeros
+// included, over every register-tile edge (m, n = 1..9, 13, 70, 97).
+TEST(TensorTest, TnKernelMatchesAscendingPLoopBitForBit) {
+  Rng rng(106);
+  const auto with_zeros = [&](int64_t rows, int64_t cols) {
+    Tensor t = random_tensor(rows, cols, rng);
+    for (int64_t i = 0; i < t.size(); i += 5) t.at(i) = i % 2 ? -0.0 : 0.0;
+    return t;
+  };
+  const int64_t dims[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 70, 97};
+  for (int64_t k : {1, 8, 97}) {
+    for (int64_t m : dims) {
+      for (int64_t n : dims) {
+        const Tensor a = with_zeros(k, m);
+        const Tensor b = with_zeros(k, n);
+        Tensor seed(m, n);
+        for (int64_t i = 0; i < seed.size(); ++i) seed.at(i) = i % 2 ? -0.0 : 0.0;
+        for (bool acc : {false, true}) {
+          Tensor want = acc ? seed : Tensor(m, n);
+          for (int64_t i = 0; i < m; ++i) {
+            for (int64_t j = 0; j < n; ++j) {
+              for (int64_t p = 0; p < k; ++p) want(i, j) += a(p, i) * b(p, j);
+            }
+          }
+          Tensor got = seed;
+          if (acc) {
+            matmul_tn_acc(a, b, got);
+          } else {
+            matmul_tn_into(a, b, got);
+          }
+          ASSERT_EQ(std::memcmp(got.data().data(), want.data().data(),
+                                want.data().size() * sizeof(double)),
+                    0)
+              << "m " << m << " k " << k << " n " << n << " acc " << acc;
+        }
+      }
+    }
   }
 }
 
