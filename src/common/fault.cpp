@@ -92,7 +92,11 @@ uint64_t parse_u64(std::string_view entry, std::string_view text,
   uint64_t value = 0;
   for (char c : text) {
     if (c < '0' || c > '9') bad_spec(entry, what + " must be a positive integer");
-    value = value * 10 + static_cast<uint64_t>(c - '0');
+    const auto digit = static_cast<uint64_t>(c - '0');
+    if (value > (UINT64_MAX - digit) / 10) {
+      bad_spec(entry, what + " does not fit in 64 bits");
+    }
+    value = value * 10 + digit;
   }
   return value;
 }
@@ -127,8 +131,9 @@ void parse_entry(std::string_view raw, Spec& spec) {
     char* end = nullptr;
     const std::string num(arg);
     rule.p = std::strtod(num.c_str(), &end);
-    if (num.empty() || end != num.c_str() + num.size() || rule.p < 0.0 ||
-        rule.p > 1.0) {
+    // Written as "not inside" so NaN, which compares false both ways, fails.
+    if (num.empty() || end != num.c_str() + num.size() ||
+        !(rule.p >= 0.0 && rule.p <= 1.0)) {
       bad_spec(entry, "prob=P needs P in [0, 1]");
     }
   } else {

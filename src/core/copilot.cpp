@@ -87,12 +87,12 @@ SizingOutcome SizingCopilot::size(const Specs& target,
                                   const CopilotOptions& opt,
                                   PredictionClient& stage2) {
   const auto t0 = std::chrono::steady_clock::now();
-  // One cancellation context for the whole campaign: checked at every stage
-  // boundary below, and handed to each Stage-II submit so a scheduler-backed
-  // decode can retire from its dynamic batch mid-round.  Throwing Cancelled
-  // (rather than returning a partial outcome) keeps the contract simple: a
-  // cancelled campaign has no result, and its owner resolves it exactly once.
-  const CancelSignal cxl{opt.cancel, opt.deadline};
+  // opt.cancel is the one cancellation context for the whole campaign:
+  // checked at every stage boundary below, and handed to each Stage-II
+  // submit so a scheduler-backed decode can retire from its dynamic batch
+  // mid-round.  Throwing Cancelled (rather than returning a partial outcome)
+  // keeps the contract simple: a cancelled campaign has no result, and its
+  // owner resolves it exactly once.
   SizingOutcome out;
   out.target = target;
 
@@ -111,7 +111,7 @@ SizingOutcome SizingCopilot::size(const Specs& target,
   for (int it = 0; it < opt.max_iterations; ++it) {
     // Stage boundary: a cancelled (or deadline-expired) campaign stops
     // before predicting, not after paying for a decode nobody will read.
-    cxl.check("SizingCopilot::size (Stage II boundary)");
+    opt.cancel.check("SizingCopilot::size (Stage II boundary)");
     out.iterations = it + 1;
 
     if (it < opt.prediction_iterations || best_widths.empty()) {
@@ -131,7 +131,7 @@ SizingOutcome SizingCopilot::size(const Specs& target,
         predicted_text =
             stage2
                 .submit(builder_.encoder_text(request), opt.max_decode_tokens,
-                        cxl)
+                        opt.cancel)
                 ->wait();
       }
       out.predicted = builder_.parse_decoder(predicted_text);
@@ -157,7 +157,7 @@ SizingOutcome SizingCopilot::size(const Specs& target,
     out.widths = widths;
 
     // Stage boundary: last exit before the verification simulation.
-    cxl.check("SizingCopilot::size (Stage IV boundary)");
+    opt.cancel.check("SizingCopilot::size (Stage IV boundary)");
 
     // Stage IV: one SPICE verification.
     spice::EvalResult r;

@@ -9,14 +9,13 @@
 // — the paper's designer-in-the-loop margin allocation.
 #pragma once
 
-#include <atomic>
-#include <chrono>
 #include <map>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "common/cancel.hpp"
 #include "core/prediction_client.hpp"
 #include "core/predictor.hpp"
 #include "core/sequence_builder.hpp"
@@ -59,17 +58,13 @@ struct CopilotOptions {
   /// (one batched sweep per candidate).  `measure.threads` stays 1 here
   /// because campaigns shard whole sizing runs across the pool.
   spice::MeasureOptions measure{};
-  /// Cooperative cancellation: once the owner sets *cancel, size() throws
-  /// ota::Cancelled at the next stage boundary, and any in-flight
-  /// scheduler-backed decode retires from the dynamic batch mid-round.
-  /// null (default) = not cancellable.  Under a CampaignServer this slot is
-  /// owned by the job — use Job::cancel(), not a caller-supplied flag.
-  std::shared_ptr<std::atomic<bool>> cancel{};
-  /// Absolute steady-clock deadline for the whole campaign; past it size()
-  /// throws ota::Cancelled at the next stage boundary (and in-flight
-  /// decodes retire the same way).  max() (default) = no deadline.
-  std::chrono::steady_clock::time_point deadline =
-      std::chrono::steady_clock::time_point::max();
+  /// Cooperative cancellation for the whole campaign: once its flag is set
+  /// or its deadline passes, size() throws ota::Cancelled at the next stage
+  /// boundary, and any in-flight scheduler-backed decode retires from the
+  /// dynamic batch mid-round.  Default = never cancelled.  Under a
+  /// CampaignServer the flag is owned by the job (use Job::cancel()); the
+  /// deadline is honoured.
+  CancelSignal cancel{};
 };
 
 struct SizingOutcome {

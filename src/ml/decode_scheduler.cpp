@@ -31,78 +31,38 @@ DecodeScheduler::Options validated(DecodeScheduler::Options opt) {
   return opt;
 }
 
+/// The Cancelled outcome when `signal`'s flag is set or its deadline has
+/// passed at `now`, null otherwise.  `when` ends the message ("before
+/// decoding", "mid-decode").
+std::exception_ptr cancellation(const CancelSignal& signal,
+                                CancelSignal::Clock::time_point now,
+                                const char* when) {
+  const char* why = signal.cancel_requested() ? "cancelled "
+                    : signal.expired(now)     ? "deadline exceeded "
+                                              : nullptr;
+  if (why == nullptr) return nullptr;
+  return std::make_exception_ptr(Cancelled(
+      std::string("DecodeScheduler: request ").append(why).append(when)));
+}
+
 }  // namespace
 
 /// One live sequence in the dynamic batch.  Owned by the scheduler thread;
 /// pool workers touch exactly one ActiveRequest per round (caller-indexed),
-/// so requests never share mutable state.
+/// so requests never share mutable state.  Its tokens and error reach the
+/// ticket only at retirement.
 struct DecodeScheduler::ActiveRequest {
   std::shared_ptr<Ticket> ticket;
+  CancelSignal signal;
   std::unique_ptr<InferenceEngine::Session> session;
+  std::vector<TokenId> tokens;
+  std::exception_ptr error;
   TokenId prev = Vocabulary::kBos;
   int64_t steps_done = 0;
   int64_t budget = 0;  ///< min(max_tokens, cfg.max_len), as greedy_decode
   bool finished = false;
   bool cancelled = false;  ///< finished via cancellation, not tokens/error
 };
-
-const std::vector<TokenId>& DecodeScheduler::Ticket::wait() {
-  std::unique_lock<std::mutex> lk(mu);
-  cv.wait(lk, [this] { return finished; });
-  if (error) {
-    // Rethrow a copy constructed on THIS thread, not the stored exception
-    // object itself.  rethrow_exception would hand waiters a reference to
-    // the scheduler thread's object, whose lifetime is then governed by the
-    // libstdc++ exception refcount — synchronization TSan cannot observe
-    // (libstdc++ is uninstrumented), so a handler far up the stack would
-    // appear to race the scheduler's release of its ticket reference.  The
-    // copy happens while this thread still holds the ticket alive, so every
-    // access is ordered through the instrumented shared_ptr refcount.
-    try {
-      std::rethrow_exception(error);
-    } catch (const Cancelled& e) {
-      throw Cancelled(e.what());
-    } catch (const InvalidArgument& e) {
-      throw InvalidArgument(e.what());
-    } catch (const fault::InjectedFault& e) {
-      // Most-derived subtypes first, so the copy preserves the dynamic type:
-      // the campaign server classifies a ticket's failure (transient
-      // ConvergenceError => retry; InjectedFault carries its site) from
-      // exactly what this rethrows.
-      throw fault::InjectedFault(e.site(), e.what());
-    } catch (const ConvergenceError& e) {
-      throw ConvergenceError(e.what());
-    } catch (const Error& e) {
-      throw Error(e.what());
-    }
-    // Non-ota exceptions (none today) propagate from the rethrow as-is.
-  }
-  return tokens;
-}
-
-bool DecodeScheduler::Ticket::done() const {
-  std::lock_guard<std::mutex> lk(mu);
-  return finished;
-}
-
-void DecodeScheduler::Ticket::cancel() {
-  cancel_flag.store(true, std::memory_order_release);
-}
-
-bool DecodeScheduler::Ticket::cancel_requested() const {
-  return cancel_flag.load(std::memory_order_acquire) ||
-         signal.cancel_requested();
-}
-
-std::exception_ptr DecodeScheduler::Ticket::cancellation(
-    CancelSignal::Clock::time_point now, const char* when) const {
-  const char* why = cancel_requested()    ? "cancelled "
-                    : signal.expired(now) ? "deadline exceeded "
-                                          : nullptr;
-  if (why == nullptr) return nullptr;
-  return std::make_exception_ptr(Cancelled(
-      std::string("DecodeScheduler: request ").append(why).append(when)));
-}
 
 DecodeScheduler::DecodeScheduler(const InferenceEngine& engine)
     : DecodeScheduler(engine, Options()) {}
@@ -126,9 +86,6 @@ std::shared_ptr<DecodeScheduler::Ticket> DecodeScheduler::submit(
         " (a zero token budget would silently decode nothing)");
   }
   auto ticket = std::make_shared<Ticket>();
-  ticket->src = std::move(src);
-  ticket->max_tokens = max_tokens;
-  ticket->signal = std::move(cancel);
   {
     std::lock_guard<std::mutex> lk(mu_);
     if (stop_) {
@@ -136,7 +93,7 @@ std::shared_ptr<DecodeScheduler::Ticket> DecodeScheduler::submit(
           "DecodeScheduler::submit: scheduler is shut down and no longer "
           "accepts requests");
     }
-    pending_.push_back(ticket);
+    pending_.push_back({ticket, std::move(src), max_tokens, std::move(cancel)});
     ++stats_.submitted;
   }
   cv_.notify_all();
@@ -162,17 +119,9 @@ DecodeScheduler::Stats DecodeScheduler::stats() const {
   return stats_;
 }
 
-void DecodeScheduler::publish(const std::shared_ptr<Ticket>& ticket) {
-  {
-    std::lock_guard<std::mutex> lk(ticket->mu);
-    ticket->finished = true;
-  }
-  ticket->cv.notify_all();
-}
-
 void DecodeScheduler::loop() {
   std::vector<ActiveRequest> active;
-  std::vector<std::shared_ptr<Ticket>> admitted;
+  std::vector<Request> admitted;
   for (;;) {
     try {
       if (!run_round(active, admitted)) return;
@@ -187,30 +136,23 @@ void DecodeScheduler::loop() {
 }
 
 void DecodeScheduler::fail_round(std::vector<ActiveRequest>& active,
-                                 std::vector<std::shared_ptr<Ticket>>& admitted,
+                                 std::vector<Request>& admitted,
                                  const std::exception_ptr& err) {
   uint64_t failed = 0, cancelled = 0;
-  // Tickets admitted but not yet promoted to sessions (moved-from slots are
-  // null; a ticket already resolved by the admission path is done).
-  for (auto& t : admitted) {
-    if (t && !t->done()) {
-      t->error = err;
-      ++failed;
-      publish(t);
-    }
+  // Requests admitted but not yet promoted to sessions (moved-from slots
+  // are null: the admission path already resolved or promoted them).
+  for (auto& r : admitted) {
+    if (r.ticket && r.ticket->fail(err)) ++failed;
   }
   admitted.clear();
   for (auto& a : active) {
-    if (!a.ticket || a.ticket->done()) continue;
-    if (!a.ticket->error) {
-      a.ticket->error = err;
-      ++failed;
-    } else if (a.cancelled) {
-      ++cancelled;  // the round's cancel sweep marked it before the failure
-    } else {
-      ++failed;  // a per-session error set pre-publication
+    if (!a.ticket) continue;
+    // A session that already holds an error keeps it: the round's cancel
+    // sweep marked it Cancelled, or its own step failed, before this round
+    // failed.
+    if (a.ticket->fail(a.error ? a.error : err)) {
+      ++(a.cancelled ? cancelled : failed);
     }
-    publish(a.ticket);
   }
   active.clear();
   std::lock_guard<std::mutex> lk(mu_);
@@ -219,7 +161,7 @@ void DecodeScheduler::fail_round(std::vector<ActiveRequest>& active,
 }
 
 bool DecodeScheduler::run_round(std::vector<ActiveRequest>& active,
-                                std::vector<std::shared_ptr<Ticket>>& admitted) {
+                                std::vector<Request>& admitted) {
   bool cancel_everything = false;
   {
     std::unique_lock<std::mutex> lk(mu_);
@@ -231,11 +173,10 @@ bool DecodeScheduler::run_round(std::vector<ActiveRequest>& active,
     if (stop_ && !drain_) {
       // Drainless shutdown: answer every queued request right here so no
       // waiter blocks forever; in-flight sessions are answered below.
-      for (const auto& t : pending_) {
-        t->error = std::make_exception_ptr(
-            Cancelled("DecodeScheduler: request cancelled by shutdown"));
+      for (const auto& r : pending_) {
         ++stats_.cancelled;
-        publish(t);
+        r.ticket->fail(std::make_exception_ptr(
+            Cancelled("DecodeScheduler: request cancelled by shutdown")));
       }
       pending_.clear();
       cancel_everything = true;
@@ -247,10 +188,9 @@ bool DecodeScheduler::run_round(std::vector<ActiveRequest>& active,
       // could not use.
       const auto now = CancelSignal::Clock::now();
       for (auto it = pending_.begin(); it != pending_.end();) {
-        if (auto err = (*it)->cancellation(now, "before decoding")) {
-          (*it)->error = err;
+        if (auto err = cancellation(it->signal, now, "before decoding")) {
           ++stats_.cancelled;
-          publish(*it);
+          it->ticket->fail(err);
           it = pending_.erase(it);
         } else {
           ++it;
@@ -269,10 +209,9 @@ bool DecodeScheduler::run_round(std::vector<ActiveRequest>& active,
   if (cancel_everything) {
     std::lock_guard<std::mutex> lk(mu_);
     for (auto& a : active) {
-      a.ticket->error = std::make_exception_ptr(
-          Cancelled("DecodeScheduler: request cancelled by shutdown"));
       ++stats_.cancelled;
-      publish(a.ticket);
+      a.ticket->fail(std::make_exception_ptr(
+          Cancelled("DecodeScheduler: request cancelled by shutdown")));
     }
     active.clear();
     return false;
@@ -282,31 +221,29 @@ bool DecodeScheduler::run_round(std::vector<ActiveRequest>& active,
   // submitters are never blocked behind it.  A request the engine refuses
   // (empty input, over-long input) fails its ticket here; one cancelled
   // between the sweep above and now resolves without paying the encode.
-  for (auto& t : admitted) {
+  for (Request& r : admitted) {
     ActiveRequest a;
-    a.ticket = std::move(t);
-    if (auto err = a.ticket->cancellation(CancelSignal::Clock::now(),
-                                          "before decoding")) {
-      a.ticket->error = err;
+    a.ticket = std::move(r.ticket);
+    a.signal = std::move(r.signal);
+    if (auto err = cancellation(a.signal, CancelSignal::Clock::now(),
+                                "before decoding")) {
       {
         std::lock_guard<std::mutex> lk(mu_);
         ++stats_.cancelled;
       }
-      publish(a.ticket);
+      a.ticket->fail(err);
       continue;
     }
     try {
       FAULT_SITE("ml.session.encode");
-      a.session = std::make_unique<InferenceEngine::Session>(
-          engine_, a.ticket->src, opt_.precision);
-      a.budget = std::min<int64_t>(a.ticket->max_tokens,
-                                   engine_.config().max_len);
+      a.session = std::make_unique<InferenceEngine::Session>(engine_, r.src,
+                                                             opt_.precision);
+      a.budget = std::min<int64_t>(r.max_tokens, engine_.config().max_len);
       active.push_back(std::move(a));
     } catch (...) {
-      a.ticket->error = std::current_exception();
       std::lock_guard<std::mutex> lk(mu_);
       ++stats_.failed;
-      publish(a.ticket);
+      a.ticket->fail(std::current_exception());
     }
   }
   admitted.clear();
@@ -319,8 +256,8 @@ bool DecodeScheduler::run_round(std::vector<ActiveRequest>& active,
   const auto round_now = CancelSignal::Clock::now();
   size_t retired_by_cancel = 0;
   for (ActiveRequest& a : active) {
-    if (auto err = a.ticket->cancellation(round_now, "mid-decode")) {
-      a.ticket->error = err;
+    if (auto err = cancellation(a.signal, round_now, "mid-decode")) {
+      a.error = err;
       a.finished = true;
       a.cancelled = true;
       ++retired_by_cancel;
@@ -350,14 +287,12 @@ bool DecodeScheduler::run_round(std::vector<ActiveRequest>& active,
         if (best == Vocabulary::kEos) {
           a.finished = true;
         } else {
-          // Pre-publication the ticket's token buffer belongs to the
-          // scheduler; waiters read it only after publish().
-          a.ticket->tokens.push_back(best);
+          a.tokens.push_back(best);
           a.prev = best;
           if (a.steps_done >= a.budget) a.finished = true;
         }
       } catch (...) {
-        a.ticket->error = std::current_exception();
+        a.error = std::current_exception();
         a.finished = true;
       }
     }
@@ -371,7 +306,7 @@ bool DecodeScheduler::run_round(std::vector<ActiveRequest>& active,
     if (a.cancelled) {
       ++cancelled;
     } else {
-      (a.ticket->error ? failed : served) += 1;
+      (a.error ? failed : served) += 1;
     }
   }
   {
@@ -394,12 +329,17 @@ bool DecodeScheduler::run_round(std::vector<ActiveRequest>& active,
     stats_.cancelled += cancelled;
   }
 
-  // Retire finished sequences immediately — their slots free up for the
-  // next round's admissions; survivors keep their relative order.
+  // Retire finished sequences immediately — their outcome reaches the
+  // ticket here and their slots free up for the next round's admissions;
+  // survivors keep their relative order.
   size_t live = 0;
   for (auto& a : active) {
     if (a.finished) {
-      publish(a.ticket);
+      if (a.error) {
+        a.ticket->fail(a.error);
+      } else {
+        a.ticket->resolve(std::move(a.tokens));
+      }
     } else {
       if (live != static_cast<size_t>(&a - active.data())) {
         active[live] = std::move(a);

@@ -20,9 +20,14 @@
 // (private KV cache, private argmax chain, the exact loop greedy_decode
 // runs), and sessions never read each other's state, so WHAT is computed is
 // independent of WHEN the scheduler interleaves it.
+//
+// Exactly-once contract: a request's tokens and error build up in its
+// private batch slot and reach its Ticket (an ota::OneShot) only when the
+// request retires; the OneShot's first-resolve-wins hand-off is why no
+// request resolves twice, and every exit path (retirement, cancellation,
+// round failure, drainless shutdown) resolves the tickets it holds.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -33,6 +38,7 @@
 #include <vector>
 
 #include "common/cancel.hpp"
+#include "common/one_shot.hpp"
 #include "ml/infer.hpp"
 
 namespace ota::ml {
@@ -56,50 +62,12 @@ class DecodeScheduler {
     Precision precision = Precision::kDouble;
   };
 
-  /// One-shot handle for a submitted request.  Created by submit(); waiters
-  /// and the scheduler thread may touch it concurrently.
-  class Ticket {
-   public:
-    /// Blocks until the request finishes and returns its decoded tokens.
-    /// Rethrows the request's error instead (bad input at admission,
-    /// common::Cancelled when cancelled, expired, or shut down drainless).
-    /// Idempotent: repeated calls return (or rethrow) the same outcome.
-    const std::vector<nlp::TokenId>& wait();
-
-    /// True once the outcome (tokens or error) is published.
-    bool done() const;
-
-    /// Requests cooperative cancellation from any thread: the scheduler
-    /// retires the request at its next round (queued requests never join a
-    /// batch, live sequences leave the dynamic batch mid-flight) and wait()
-    /// rethrows ota::Cancelled.  Idempotent; a no-op once the ticket has
-    /// already resolved — the resolve-exactly-once contract holds either
-    /// way (a cancel can lose the race with completion).
-    void cancel();
-
-    /// True when cancellation was requested via cancel() or the submitter's
-    /// CancelSignal flag (regardless of whether the ticket resolved yet).
-    bool cancel_requested() const;
-
-   private:
-    friend class DecodeScheduler;
-    /// The Cancelled outcome when cancel() or the signal's flag is set or
-    /// its deadline has passed at `now`, null otherwise.  `when` ends the
-    /// message ("before decoding", "mid-decode").
-    std::exception_ptr cancellation(CancelSignal::Clock::time_point now,
-                                    const char* when) const;
-
-    mutable std::mutex mu;
-    std::condition_variable cv;
-    bool finished = false;
-    std::vector<nlp::TokenId> tokens;  ///< written pre-publication by the
-                                       ///< scheduler thread only
-    std::exception_ptr error;
-    std::vector<nlp::TokenId> src;
-    int64_t max_tokens = 0;
-    std::atomic<bool> cancel_flag{false};  ///< set by cancel()
-    CancelSignal signal;  ///< the submitter's flag + deadline
-  };
+  /// One-shot handle for a submitted request: wait() blocks until the
+  /// request retires and returns its decoded tokens, or rethrows its error
+  /// (bad input at admission, ota::Cancelled when its CancelSignal fired or
+  /// the scheduler shut down drainless).  The scheduler thread is its only
+  /// resolver, at retirement.
+  using Ticket = OneShot<std::vector<nlp::TokenId>>;
 
   /// Spawns the scheduler thread.  `engine` must outlive the scheduler.
   /// Throws InvalidArgument for opt.max_batch < 1 — before any thread is
@@ -157,6 +125,13 @@ class DecodeScheduler {
   Stats stats() const;
 
  private:
+  /// A queued request: its inputs and the ticket it resolves.
+  struct Request {
+    std::shared_ptr<Ticket> ticket;
+    std::vector<nlp::TokenId> src;
+    int64_t max_tokens = 0;
+    CancelSignal signal;
+  };
   struct ActiveRequest;
   void loop();
   /// One scheduler round: sleep/admit/encode/step/retire.  Returns false
@@ -164,15 +139,14 @@ class DecodeScheduler {
   /// Failures it does not contain itself (per-session errors resolve only
   /// their own ticket inside) are contained by loop() via fail_round.
   bool run_round(std::vector<ActiveRequest>& active,
-                 std::vector<std::shared_ptr<Ticket>>& admitted);
+                 std::vector<Request>& admitted);
   /// Round-level failure containment: resolves every unresolved ticket the
   /// failed round was carrying as Failed with `err` (cancel-marked ones as
   /// Cancelled) and clears the batch, so one poisoned round can never take
   /// down the scheduler thread — later submissions decode normally.
   void fail_round(std::vector<ActiveRequest>& active,
-                  std::vector<std::shared_ptr<Ticket>>& admitted,
+                  std::vector<Request>& admitted,
                   const std::exception_ptr& err);
-  static void publish(const std::shared_ptr<Ticket>& ticket);
 
   const InferenceEngine& engine_;
   Options opt_;
@@ -181,7 +155,7 @@ class DecodeScheduler {
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::deque<std::shared_ptr<Ticket>> pending_;
+  std::deque<Request> pending_;
   bool stop_ = false;
   bool drain_ = true;
   Stats stats_;

@@ -17,23 +17,28 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
+/// `seconds` after t0, saturating at time_point::max(): casting a span past
+/// the clock's range (1e12 s, +inf, NaN) to its integer ticks would be
+/// undefined behaviour, which in practice lands before t0 and expires at
+/// once.  The comparison rounds the remaining range to the nearest double,
+/// so a span below it truncates to ticks strictly inside the range.
 std::chrono::steady_clock::time_point deadline_after(
     std::chrono::steady_clock::time_point t0, double seconds) {
-  return t0 + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-                  std::chrono::duration<double>(seconds));
+  using Clock = std::chrono::steady_clock;
+  const std::chrono::duration<double> span(seconds);
+  if (!(span < Clock::time_point::max() - t0)) return Clock::time_point::max();
+  return t0 + std::chrono::duration_cast<Clock::duration>(span);
 }
 
-/// The job's effective absolute deadline: the earlier of the caller's
-/// CopilotOptions::deadline and submit-relative deadline_seconds.
-std::chrono::steady_clock::time_point effective_deadline(
-    const CampaignRequest& request,
-    std::chrono::steady_clock::time_point submitted_at) {
-  auto deadline = request.options.deadline;
-  if (request.deadline_seconds > 0.0) {
-    deadline =
-        std::min(deadline, deadline_after(submitted_at, request.deadline_seconds));
-  }
-  return deadline;
+/// The result of a job resolved as Cancelled without running.
+CampaignResult cancelled_result(std::string why, double queue_seconds,
+                                double total_seconds) {
+  CampaignResult res;
+  res.status = CampaignStatus::Cancelled;
+  res.error = std::move(why);
+  res.queue_seconds = queue_seconds;
+  res.total_seconds = total_seconds;
+  return res;
 }
 
 /// The layer a fault site name belongs to: the segment before the first dot
@@ -81,43 +86,17 @@ std::unique_ptr<core::PredictionClient::Handle> ScheduledPredictionClient::submi
 // ---------------------------------------------------------------------------
 // CampaignServer::Job
 
-const CampaignResult& CampaignServer::Job::wait() {
-  std::unique_lock<std::mutex> lk(mu);
-  cv.wait(lk, [&] { return finished; });
-  return result;
-}
-
-bool CampaignServer::Job::done() const {
-  std::lock_guard<std::mutex> lk(mu);
-  return finished;
-}
-
 void CampaignServer::Job::cancel() {
   // Set the cooperative flag first: an in-flight campaign observes it at
   // its next stage boundary and its live decode ticket at the next
   // scheduler round.
   cancel_flag->store(true, std::memory_order_release);
-  std::lock_guard<std::mutex> lk(mu);
-  if (finished || started) return;  // resolved, or a worker owns it now
-  // Still queued: resolve right here so waiters wake immediately.  The
-  // worker that eventually pops the job sees `finished` and only accounts
-  // it — the resolves-exactly-once contract is the job mutex hand-off.
-  result.status = CampaignStatus::Cancelled;
-  result.error = "campaign cancelled by caller";
-  result.queue_seconds = seconds_since(submitted_at);
-  result.total_seconds = result.queue_seconds;
-  finished = true;
-  cv.notify_all();
-}
-
-void CampaignServer::publish(const std::shared_ptr<Job>& job) {
-  // job->result was written by the resolving thread before this call; the
-  // mutex hand-off makes it visible to every waiter that observes finished.
-  {
-    std::lock_guard<std::mutex> lk(job->mu);
-    job->finished = true;
-  }
-  job->cv.notify_all();
+  // Still queued: resolve right here so waiters wake immediately.  A job a
+  // worker has claimed is refused; the worker that eventually pops a job
+  // resolved here finds its claim refused and only accounts it.
+  const double waited = seconds_since(submitted_at);
+  outcome.resolve_unclaimed(
+      cancelled_result("campaign cancelled by caller", waited, waited));
 }
 
 // ---------------------------------------------------------------------------
@@ -201,7 +180,6 @@ void CampaignServer::register_topology(
         std::make_unique<core::SequenceBuilder>(entry->topology, entry->tech);
     ml::DecodeScheduler::Options sopt;
     sopt.max_batch = opt_.max_decode_batch;
-    sopt.threads = opt_.scheduler_threads;
     sopt.precision = tier;
     entry->scheduler = std::make_unique<ml::DecodeScheduler>(engine, sopt);
     entry->client = std::make_unique<ScheduledPredictionClient>(
@@ -223,6 +201,15 @@ std::shared_ptr<CampaignServer::Job> CampaignServer::submit(
   auto job = std::make_shared<Job>();
   job->request = std::move(request);
   job->submitted_at = std::chrono::steady_clock::now();
+  // The job's one cancellation context: its own flag, and the earlier of
+  // the caller's deadline and the submit-relative deadline_seconds.
+  CancelSignal& signal = job->request.options.cancel;
+  signal.flag = job->cancel_flag;
+  if (job->request.deadline_seconds > 0.0) {
+    signal.deadline = std::min(
+        signal.deadline,
+        deadline_after(job->submitted_at, job->request.deadline_seconds));
+  }
   {
     std::unique_lock<std::mutex> lk(mu_);
     if (stop_) {
@@ -238,7 +225,7 @@ std::shared_ptr<CampaignServer::Job> CampaignServer::submit(
     if (opt_.max_queue_depth > 0 &&
         queue_.size() >= static_cast<size_t>(opt_.max_queue_depth)) {
       if (opt_.overflow == OverflowPolicy::Reject) {
-        ++rejected_;
+        ++stats_.rejected;
         throw ServerOverloaded(
             "CampaignServer::submit: queue full (" +
             std::to_string(queue_.size()) + "/" +
@@ -249,27 +236,28 @@ std::shared_ptr<CampaignServer::Job> CampaignServer::submit(
         return stop_ ||
                queue_.size() < static_cast<size_t>(opt_.max_queue_depth);
       };
-      if (opt_.block_timeout_seconds > 0.0) {
-        const auto give_up = deadline_after(std::chrono::steady_clock::now(),
-                                            opt_.block_timeout_seconds);
-        if (!space_cv_.wait_until(lk, give_up, has_space)) {
-          ++timed_out_;
-          throw ServerOverloaded(
-              "CampaignServer::submit: queue still full after blocking " +
-              std::to_string(opt_.block_timeout_seconds) +
-              "s for space (Block policy timeout)");
-        }
-      } else {
+      const auto give_up =
+          opt_.block_timeout_seconds > 0.0
+              ? deadline_after(std::chrono::steady_clock::now(),
+                               opt_.block_timeout_seconds)
+              : std::chrono::steady_clock::time_point::max();
+      if (give_up == std::chrono::steady_clock::time_point::max()) {
         space_cv_.wait(lk, has_space);
+      } else if (!space_cv_.wait_until(lk, give_up, has_space)) {
+        ++stats_.timed_out;
+        throw ServerOverloaded(
+            "CampaignServer::submit: queue still full after blocking " +
+            std::to_string(opt_.block_timeout_seconds) +
+            "s for space (Block policy timeout)");
       }
       if (stop_) {
         throw InvalidArgument("CampaignServer::submit: server is shut down");
       }
     }
     queue_.push_back(job);
-    ++submitted_;
-    peak_queue_depth_ =
-        std::max<uint64_t>(peak_queue_depth_, queue_.size());
+    ++stats_.submitted;
+    stats_.peak_queue_depth =
+        std::max<uint64_t>(stats_.peak_queue_depth, queue_.size());
   }
   cv_.notify_one();
   return job;
@@ -287,18 +275,12 @@ void CampaignServer::worker_loop() {
         while (!queue_.empty()) {
           auto cancelled = queue_.front();
           queue_.pop_front();
-          ++cancelled_;
-          const double waited = seconds_since(cancelled->submitted_at);
-          std::lock_guard<std::mutex> jk(cancelled->mu);
-          if (cancelled->finished) continue;  // Job::cancel() got there first
-          cancelled->result.status = CampaignStatus::Cancelled;
-          cancelled->result.error = "campaign cancelled by shutdown";
+          ++stats_.cancelled;
           // The job's whole life was spent in queue, so the queue time IS
-          // the total time.
-          cancelled->result.queue_seconds = waited;
-          cancelled->result.total_seconds = waited;
-          cancelled->finished = true;
-          cancelled->cv.notify_all();
+          // the total time.  A no-op when Job::cancel() got there first.
+          const double waited = seconds_since(cancelled->submitted_at);
+          cancelled->outcome.resolve(
+              cancelled_result("campaign cancelled by shutdown", waited, waited));
         }
         space_cv_.notify_all();
         return;
@@ -318,50 +300,31 @@ void CampaignServer::worker_loop() {
     STAT_SECONDS("serve.campaign.queue_wait", queued);
     // Claim the job.  If Job::cancel() resolved it while queued, only the
     // accounting is left to do.
-    bool already_resolved = false;
-    int prior_retries = 0;
-    {
-      std::lock_guard<std::mutex> jk(job->mu);
-      if (job->finished) {
-        already_resolved = true;
-      } else {
-        job->started = true;
-        prior_retries = job->retries;
-      }
-    }
-    if (already_resolved) {
+    if (!job->outcome.claim()) {
       std::lock_guard<std::mutex> lk(mu_);
-      ++cancelled_;
+      ++stats_.cancelled;
       continue;
     }
+    const int prior_retries = job->retries;
 
     // Deadline check before running: a job that expired waiting in queue
     // resolves without a single decode or simulation.
-    const auto deadline = effective_deadline(job->request, job->submitted_at);
-    if (std::chrono::steady_clock::now() >= deadline) {
-      CampaignResult res;
-      res.status = CampaignStatus::Cancelled;
-      res.error = "campaign deadline exceeded after " +
-                  std::to_string(queued) + "s in queue";
-      res.queue_seconds = queued;
-      res.total_seconds = seconds_since(job->submitted_at);
+    if (job->request.options.cancel.expired()) {
+      CampaignResult res = cancelled_result(
+          "campaign deadline exceeded after " + std::to_string(queued) +
+              "s in queue",
+          queued, seconds_since(job->submitted_at));
       {
         std::lock_guard<std::mutex> lk(mu_);
-        ++cancelled_;
-        ++expired_;
+        ++stats_.cancelled;
+        ++stats_.expired;
       }
-      job->result = std::move(res);
-      publish(job);
+      job->outcome.resolve(std::move(res));
       continue;
     }
 
     CampaignResult res;
     res.queue_seconds = queued;
-    // The job's cancel flag and effective deadline ride through the copilot
-    // options into the prediction client and decode scheduler.
-    core::CopilotOptions run_opt = job->request.options;
-    run_opt.cancel = job->cancel_flag;
-    run_opt.deadline = deadline;
     try {
       STAT_REGION("serve.campaign.run");
       // Injectable worker-side failure, before the copilot even constructs:
@@ -373,7 +336,8 @@ void CampaignServer::worker_loop() {
       // independent of which worker runs it.
       core::SizingCopilot copilot(entry->topology, entry->tech, *entry->builder,
                                   *entry->model, *entry->luts);
-      res.outcome = copilot.size(job->request.target, run_opt, *entry->client);
+      res.outcome = copilot.size(job->request.target, job->request.options,
+                                 *entry->client);
       res.status = CampaignStatus::Served;
     } catch (const Cancelled& e) {
       res.status = CampaignStatus::Cancelled;
@@ -384,20 +348,17 @@ void CampaignServer::worker_loop() {
       // would — requeue at the back of the FIFO up to the retry budget.  A
       // requeued job is the same job: not re-admitted, not re-counted.
       if (prior_retries < opt_.max_retries) {
-        {
-          std::lock_guard<std::mutex> jk(job->mu);
-          job->retries = prior_retries + 1;
-          // Back in the queue, Job::cancel() may resolve it directly again.
-          job->started = false;
-        }
+        job->retries = prior_retries + 1;
+        // Back in the queue, Job::cancel() may resolve it directly again.
+        job->outcome.unclaim();
         {
           std::lock_guard<std::mutex> lk(mu_);
-          ++retried_;
+          ++stats_.retried;
           // Deliberately past admission control: a retry is continuation of
           // an admitted job, and dropping it would break exactly-once.
           queue_.push_back(job);
-          peak_queue_depth_ =
-              std::max<uint64_t>(peak_queue_depth_, queue_.size());
+          stats_.peak_queue_depth =
+              std::max<uint64_t>(stats_.peak_queue_depth, queue_.size());
         }
         STAT_COUNTER("serve.campaign.retries");
         cv_.notify_one();
@@ -430,15 +391,14 @@ void CampaignServer::worker_loop() {
       std::lock_guard<std::mutex> lk(mu_);
       switch (res.status) {
         case CampaignStatus::Served:
-          ++served_;
-          if (prior_retries > 0) ++recovered_;
+          ++stats_.served;
+          if (prior_retries > 0) ++stats_.recovered;
           break;
-        case CampaignStatus::Failed: ++failed_; break;
-        case CampaignStatus::Cancelled: ++cancelled_; break;
+        case CampaignStatus::Failed: ++stats_.failed; break;
+        case CampaignStatus::Cancelled: ++stats_.cancelled; break;
       }
     }
-    job->result = std::move(res);
-    publish(job);
+    job->outcome.resolve(std::move(res));
   }
 }
 
@@ -461,19 +421,9 @@ void CampaignServer::shutdown(bool drain) {
 }
 
 CampaignServer::Stats CampaignServer::stats() const {
-  Stats s;
   std::lock_guard<std::mutex> lk(mu_);
-  s.submitted = submitted_;
-  s.served = served_;
-  s.failed = failed_;
-  s.cancelled = cancelled_;
-  s.rejected = rejected_;
-  s.timed_out = timed_out_;
-  s.expired = expired_;
-  s.retried = retried_;
-  s.recovered = recovered_;
+  Stats s = stats_;
   s.queue_depth = queue_.size();
-  s.peak_queue_depth = peak_queue_depth_;
   for (const auto& [name, entry] : topologies_) {
     if (!entry) continue;  // a registration reserving the name right now
     const auto d = entry->scheduler->stats();

@@ -19,12 +19,15 @@
 // copy and its decodes run in private scheduler sessions, so concurrency
 // changes only WHEN work happens, never WHAT is computed.
 //
-// Queue contract: every submitted job resolves exactly once.  shutdown(true)
-// serves everything outstanding first; shutdown(false) answers unstarted
-// jobs with CampaignStatus::Cancelled.  Nothing is lost, nothing runs twice.
-// A campaign that throws a transient ConvergenceError requeues (same job, no
-// new submission) up to Options::max_retries times before counting as
-// Failed, so exactly-once accounting is unchanged by the retry policy.
+// Queue contract: every submitted job resolves exactly once — it completes
+// through an ota::OneShot, whose first resolution wins, and a worker claims
+// it at pickup so Job::cancel() can answer a queued job but never a started
+// one.  shutdown(true) serves everything outstanding first; shutdown(false)
+// answers unstarted jobs with CampaignStatus::Cancelled.  Nothing is lost,
+// nothing runs twice.  A campaign that throws a transient ConvergenceError
+// requeues (same job, no new submission, claim released) up to
+// Options::max_retries times before counting as Failed, so exactly-once
+// accounting is unchanged by the retry policy.
 //
 // Overload contract: the job queue is bounded by Options::max_queue_depth
 // (0 = unbounded).  At capacity, submit() either throws ota::ServerOverloaded
@@ -33,7 +36,7 @@
 // never grow memory or tail latency without bound.  Job::cancel() and
 // CampaignRequest::deadline_seconds resolve jobs that nobody wants served:
 // queued jobs resolve as Cancelled without running, in-flight campaigns stop
-// at the next copilot stage boundary, and their live decode tickets retire
+// at the next copilot stage boundary, and their live decode requests retire
 // from the dynamic batch mid-round.
 #pragma once
 
@@ -50,6 +53,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/one_shot.hpp"
 #include "core/copilot.hpp"
 #include "core/sizing_model.hpp"
 #include "ml/decode_scheduler.hpp"
@@ -81,14 +85,15 @@ class ScheduledPredictionClient : public core::PredictionClient {
 struct CampaignRequest {
   std::string topology;
   core::Specs target;
-  /// Copilot knobs.  `options.cancel` is owned by the server (use
-  /// Job::cancel()); `options.deadline` is honored and combined (earliest
+  /// Copilot knobs.  The flag of `options.cancel` is owned by the server
+  /// (use Job::cancel()); its deadline is honored and combined (earliest
   /// wins) with `deadline_seconds` below.
   core::CopilotOptions options{};
   /// Per-request deadline, in seconds after submit().  A job whose deadline
   /// passes while still queued resolves as Cancelled without running; one
   /// that expires in flight stops through the cancel path (copilot stage
-  /// boundaries + mid-round decode retirement).  <= 0 = no deadline.
+  /// boundaries + mid-round decode retirement).  <= 0 = no deadline; one
+  /// past the clock's range (e.g. +inf) never expires.
   double deadline_seconds = 0.0;
 };
 
@@ -126,11 +131,9 @@ class CampaignServer {
     /// threads, not pool lanes: a campaign blocks on decode tickets and
     /// SPICE runs, and a blocked pool lane would stall unrelated work.
     int workers = 0;
-    /// Per-topology cap on concurrently-decoding sessions.
+    /// Per-topology cap on concurrently-decoding sessions.  Each scheduler
+    /// fans its rounds out over the persistent process-wide pool.
     int max_decode_batch = 64;
-    /// Worker count for each scheduler's intra-round fan-out: 0 = the
-    /// persistent process-wide pool, > 0 = a dedicated pool per topology.
-    int scheduler_threads = 0;
     /// Admission control: maximum campaigns waiting in the queue (jobs a
     /// worker has picked up no longer count).  0 = unbounded, the
     /// pre-admission-control behaviour.  Negative throws InvalidArgument.
@@ -186,8 +189,8 @@ class CampaignServer {
    public:
     /// Blocks until the campaign resolves; repeated calls return the same
     /// result.
-    const CampaignResult& wait();
-    bool done() const;
+    const CampaignResult& wait() { return outcome.wait(); }
+    bool done() const { return outcome.done(); }
 
     /// Requests cancellation from any thread.  A job still in the queue
     /// resolves as Cancelled right here — waiters wake immediately and a
@@ -201,19 +204,18 @@ class CampaignServer {
 
    private:
     friend class CampaignServer;
-    mutable std::mutex mu;
-    std::condition_variable cv;
-    bool finished = false;
-    bool started = false;  ///< picked up by a worker; cancel() can no
-                           ///< longer resolve it directly
-    CampaignResult result;
+    /// Claimed by the worker running the campaign, so cancel() resolves
+    /// only a job still waiting in the queue.
+    OneShot<CampaignResult> outcome;
+    /// As submitted, except that submit() sets `request.options.cancel` to
+    /// the job's one cancellation context: `cancel_flag` plus the effective
+    /// deadline.  It rides through the copilot into the prediction client
+    /// and decode scheduler.
     CampaignRequest request;
     std::chrono::steady_clock::time_point submitted_at;
-    /// Times the transient-retry policy has requeued this job (guarded by
-    /// mu, like started).
+    /// Times the transient-retry policy has requeued this job (written only
+    /// by the worker holding the claim).
     int retries = 0;
-    /// Cooperative cancel flag threaded through CopilotOptions into the
-    /// prediction client and decode scheduler.
     std::shared_ptr<std::atomic<bool>> cancel_flag =
         std::make_shared<std::atomic<bool>>(false);
   };
@@ -279,7 +281,6 @@ class CampaignServer {
   };
 
   void worker_loop();
-  static void publish(const std::shared_ptr<Job>& job);
 
   Options opt_;
 
@@ -294,9 +295,7 @@ class CampaignServer {
   std::map<std::string, std::unique_ptr<TopologyEntry>> topologies_;
   bool stop_ = false;
   bool drain_ = true;
-  uint64_t submitted_ = 0, served_ = 0, failed_ = 0, cancelled_ = 0;
-  uint64_t rejected_ = 0, timed_out_ = 0, expired_ = 0, peak_queue_depth_ = 0;
-  uint64_t retried_ = 0, recovered_ = 0;
+  Stats stats_;  ///< server counters; stats() fills queue_depth and decode
 
   std::mutex join_mu_;  ///< serializes shutdown()'s join
   std::vector<std::thread> workers_;

@@ -1,6 +1,8 @@
 // Thread-pool unit tests: task completion, exception propagation out of
 // parallel_for, nested-submission safety, and the zero-item / single-thread
-// edge cases the par layer's determinism contract leans on.
+// edge cases the par layer's determinism contract leans on.  Also the
+// OneShot completion primitive the scheduler's tickets and the server's
+// jobs resolve through.
 #include "par/thread_pool.hpp"
 
 #include <gtest/gtest.h>
@@ -8,12 +10,16 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <exception>
 #include <future>
 #include <numeric>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <typeinfo>
 #include <vector>
+
+#include "common/one_shot.hpp"
 
 namespace ota::par {
 namespace {
@@ -141,6 +147,123 @@ TEST(ParTest, EnvThreadsParsesOtaThreads) {
 
 TEST(ParTest, HardwareThreadsIsPositive) {
   EXPECT_GE(hardware_threads(), 1);
+}
+
+// ---------------------------------------------------------------------------
+// OneShot
+
+TEST(ParTest, OneShotSecondResolveOrFailReturnsFalseAndChangesNothing) {
+  OneShot<int> resolved;
+  EXPECT_FALSE(resolved.done());
+  EXPECT_TRUE(resolved.resolve(7));
+  EXPECT_TRUE(resolved.done());
+  EXPECT_FALSE(resolved.resolve(8));
+  EXPECT_FALSE(resolved.fail(std::make_exception_ptr(Error("late"))));
+  EXPECT_FALSE(resolved.resolve_unclaimed(9));
+  EXPECT_FALSE(resolved.claim());
+  EXPECT_EQ(resolved.wait(), 7);
+  EXPECT_EQ(resolved.wait(), 7);  // idempotent
+
+  OneShot<int> failed;
+  EXPECT_TRUE(failed.fail(std::make_exception_ptr(InvalidArgument("first"))));
+  EXPECT_FALSE(failed.resolve(1));
+  EXPECT_FALSE(failed.fail(std::make_exception_ptr(Error("second"))));
+  for (int i = 0; i < 2; ++i) {
+    try {
+      (void)failed.wait();
+      ADD_FAILURE() << "wait() returned a value after fail()";
+    } catch (const InvalidArgument& e) {
+      EXPECT_STREQ(e.what(), "first");
+    }
+  }
+}
+
+TEST(ParTest, OneShotWaiterOnAnotherThreadGetsTheValue) {
+  OneShot<std::vector<int>> shot;
+  std::vector<std::vector<int>> got(4);
+  std::vector<std::thread> waiters;
+  for (auto& g : got) {
+    waiters.emplace_back([&shot, &g] { g = shot.wait(); });
+  }
+  EXPECT_TRUE(shot.resolve({1, 2, 3}));
+  for (auto& w : waiters) w.join();
+  for (const auto& g : got) EXPECT_EQ(g, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(ParTest, OneShotRacingResolversHaveExactlyOneWinner) {
+  OneShot<int> shot;
+  std::atomic<int> winners{0};
+  std::vector<std::thread> racers;
+  for (int i = 0; i < 8; ++i) {
+    racers.emplace_back([&shot, &winners, i] {
+      const bool won =
+          i % 2 == 0 ? shot.resolve(i)
+                     : shot.fail(std::make_exception_ptr(Error("racer")));
+      if (won) winners.fetch_add(1);
+    });
+  }
+  for (auto& r : racers) r.join();
+  EXPECT_EQ(winners.load(), 1);
+  EXPECT_TRUE(shot.done());
+}
+
+/// fail() with `original`, then checks wait() rethrows a copy — a distinct
+/// object with the same dynamic type and message — on every call.
+template <typename E>
+void expect_rethrows_copy(const E& original) {
+  SCOPED_TRACE(typeid(E).name());
+  OneShot<int> shot;
+  const std::exception_ptr stored = std::make_exception_ptr(original);
+  EXPECT_TRUE(shot.fail(stored));
+  for (int i = 0; i < 2; ++i) {
+    try {
+      (void)shot.wait();
+      ADD_FAILURE() << "wait() returned a value after fail()";
+    } catch (const Error& e) {
+      EXPECT_EQ(typeid(e), typeid(E));
+      EXPECT_STREQ(e.what(), original.what());
+      try {
+        std::rethrow_exception(stored);
+      } catch (const Error& kept) {
+        EXPECT_NE(&e, &kept) << "rethrew the stored object, not a copy";
+      }
+    }
+  }
+}
+
+TEST(ParTest, OneShotFailRethrowsACopyOfTheSameDynamicType) {
+  expect_rethrows_copy(Cancelled("cancelled"));
+  expect_rethrows_copy(InvalidArgument("bad input"));
+  expect_rethrows_copy(fault::InjectedFault("ml.session.step", "injected"));
+  expect_rethrows_copy(ConvergenceError("no convergence"));
+  expect_rethrows_copy(Error("plain"));
+
+  OneShot<int> shot;
+  shot.fail(std::make_exception_ptr(
+      fault::InjectedFault("serve.worker.campaign", "injected")));
+  try {
+    (void)shot.wait();
+    ADD_FAILURE() << "wait() returned a value after fail()";
+  } catch (const fault::InjectedFault& e) {
+    EXPECT_EQ(e.site(), "serve.worker.campaign");
+  }
+}
+
+TEST(ParTest, OneShotClaimBlocksResolveUnclaimedUntilUnclaim) {
+  OneShot<int> shot;
+  EXPECT_TRUE(shot.claim());
+  EXPECT_FALSE(shot.resolve_unclaimed(1));
+  EXPECT_FALSE(shot.done());
+  shot.unclaim();
+  EXPECT_TRUE(shot.resolve_unclaimed(2));
+  EXPECT_EQ(shot.wait(), 2);
+  EXPECT_FALSE(shot.claim());  // resolved: nothing left to claim
+
+  // A claim never blocks the claimer's own resolve().
+  OneShot<int> owned;
+  EXPECT_TRUE(owned.claim());
+  EXPECT_TRUE(owned.resolve(3));
+  EXPECT_EQ(owned.wait(), 3);
 }
 
 }  // namespace

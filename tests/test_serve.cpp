@@ -25,6 +25,8 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <iterator>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <random>
@@ -554,9 +556,17 @@ TEST_F(DeterminismTest, SchedulerTicketCancelResolvesExactlyOnce) {
   opt.max_batch = 2;  // smaller than the request count: some cancel queued
   ml::DecodeScheduler scheduler(engine, opt);
 
+  // Each request carries its own CancelSignal flag; every odd one is set
+  // while the batch is live.
   std::vector<std::shared_ptr<ml::DecodeScheduler::Ticket>> tickets;
-  for (const auto& s : srcs) tickets.push_back(scheduler.submit(s, 96));
-  for (size_t i = 1; i < tickets.size(); i += 2) tickets[i]->cancel();
+  std::vector<std::shared_ptr<std::atomic<bool>>> flags;
+  for (const auto& s : srcs) {
+    flags.push_back(std::make_shared<std::atomic<bool>>(false));
+    CancelSignal signal;
+    signal.flag = flags.back();
+    tickets.push_back(scheduler.submit(s, 96, signal));
+  }
+  for (size_t i = 1; i < tickets.size(); i += 2) flags[i]->store(true);
 
   uint64_t served = 0, cancelled = 0;
   for (size_t i = 0; i < tickets.size(); ++i) {
@@ -567,7 +577,7 @@ TEST_F(DeterminismTest, SchedulerTicketCancelResolvesExactlyOnce) {
       ++served;
     } catch (const Cancelled&) {
       ++cancelled;
-      EXPECT_TRUE(tickets[i]->cancel_requested());
+      EXPECT_TRUE(flags[i]->load());
       EXPECT_EQ(i % 2, 1u) << "ticket " << i << " cancelled but never asked to";
     }
   }
@@ -705,16 +715,22 @@ TEST_F(DeterminismTest, CampaignServerDeadlineExpiresInQueue) {
     EXPECT_GT(res.queue_seconds, 0.0);
   }
 
-  // A generous deadline must not interfere with being served.
-  CampaignRequest fine{"5T-OTA", targets[1], opt};
-  fine.deadline_seconds = 3600.0;
-  auto served = server.submit(std::move(fine));
-  EXPECT_EQ(served->wait().status, CampaignStatus::Served) << served->wait().error;
+  // A generous deadline must not interfere with being served, and one past
+  // the clock's range must never expire.
+  const double generous[] = {3600.0, 1e12,
+                             std::numeric_limits<double>::infinity()};
+  for (const double seconds : generous) {
+    CampaignRequest fine{"5T-OTA", targets[1], opt};
+    fine.deadline_seconds = seconds;
+    auto served = server.submit(std::move(fine));
+    EXPECT_EQ(served->wait().status, CampaignStatus::Served)
+        << seconds << "s: " << served->wait().error;
+  }
 
   const auto stats = server.stats();
   EXPECT_EQ(stats.expired, doomed.size());
   EXPECT_EQ(stats.cancelled, doomed.size());
-  EXPECT_EQ(stats.served, 2u);
+  EXPECT_EQ(stats.served, 1u + std::size(generous));
   EXPECT_EQ(stats.failed, 0u);
 }
 
@@ -752,32 +768,44 @@ TEST_F(DeterminismTest, CampaignServerBlockPolicyWaitsForSpace) {
   const auto targets = campaign_targets(3);
   const auto opt = campaign_options();
 
-  CampaignServer::Options sopt;
-  sopt.workers = 1;
-  sopt.max_queue_depth = 1;
-  sopt.overflow = OverflowPolicy::Block;
-  CampaignServer server(sopt);
-  server.register_topology("5T-OTA", *topo_, *tech_, *model_, luts_);
+  // No timeout, and timeouts past the clock's range: each must wait.
+  for (const double timeout :
+       {0.0, 1e12, std::numeric_limits<double>::infinity()}) {
+    SCOPED_TRACE(timeout);
+    CampaignServer::Options sopt;
+    sopt.workers = 1;
+    sopt.max_queue_depth = 1;
+    sopt.overflow = OverflowPolicy::Block;
+    sopt.block_timeout_seconds = timeout;
+    CampaignServer server(sopt);
+    server.register_topology("5T-OTA", *topo_, *tech_, *model_, luts_);
 
-  auto first = server.submit({"5T-OTA", targets[0], opt});
-  wait_for_pickup(server);
-  auto second = server.submit({"5T-OTA", targets[1], opt});  // queue now full
-  // This submit finds the queue at capacity and blocks until the worker
-  // pops `second`; it must eventually be admitted and served, not rejected.
-  std::shared_ptr<CampaignServer::Job> third;
-  std::thread submitter(
-      [&] { third = server.submit({"5T-OTA", targets[2], opt}); });
-  submitter.join();
-  ASSERT_NE(third, nullptr);
+    auto first = server.submit({"5T-OTA", targets[0], opt});
+    wait_for_pickup(server);
+    auto second = server.submit({"5T-OTA", targets[1], opt});  // queue now full
+    // This submit finds the queue at capacity and blocks until the worker
+    // pops `second`; it must eventually be admitted and served, not
+    // rejected.
+    std::shared_ptr<CampaignServer::Job> third;
+    std::thread submitter([&] {
+      try {
+        third = server.submit({"5T-OTA", targets[2], opt});
+      } catch (const ServerOverloaded& e) {
+        ADD_FAILURE() << "submit gave up instead of waiting: " << e.what();
+      }
+    });
+    submitter.join();
+    ASSERT_NE(third, nullptr);
 
-  for (const auto& job : {first, second, third}) {
-    EXPECT_EQ(job->wait().status, CampaignStatus::Served) << job->wait().error;
+    for (const auto& job : {first, second, third}) {
+      EXPECT_EQ(job->wait().status, CampaignStatus::Served) << job->wait().error;
+    }
+    const auto stats = server.stats();
+    EXPECT_EQ(stats.submitted, 3u);
+    EXPECT_EQ(stats.rejected, 0u);
+    EXPECT_EQ(stats.timed_out, 0u);
+    EXPECT_LE(stats.peak_queue_depth, 1u);
   }
-  const auto stats = server.stats();
-  EXPECT_EQ(stats.submitted, 3u);
-  EXPECT_EQ(stats.rejected, 0u);
-  EXPECT_EQ(stats.timed_out, 0u);
-  EXPECT_LE(stats.peak_queue_depth, 1u);
 }
 
 TEST_F(DeterminismTest, CampaignServerBlockTimeoutThrowsServerOverloaded) {
