@@ -15,11 +15,12 @@ using nlp::Vocabulary;
 
 namespace {
 
-// Model-file config header, version 2: an explicit field-by-field layout
-// behind a magic/version tag.  Version 1 (no tag) dumped the raw
-// TransformerConfig struct — indeterminate padding bytes and fragile against
-// any struct change; load() still accepts it best-effort.
-constexpr char kModelMagicV2[8] = {'o', 't', 'a', 's', 'm', 'd', 'l', '2'};
+// Model-file config header, version 3: an explicit field-by-field layout
+// behind a magic/version tag, then Transformer::save's weights with each
+// attention site's Q/K/V as one (d_model, d_model) tensor.  Earlier versions
+// (the untagged raw-struct dump, then 'otasmdl2' with per-head projections)
+// are refused; such models must be re-trained.
+constexpr char kModelMagic[8] = {'o', 't', 'a', 's', 'm', 'd', 'l', '3'};
 
 template <typename T>
 void write_field(std::ostream& os, T v) {
@@ -39,7 +40,7 @@ bool config_is_plausible(const ml::TransformerConfig& cfg) {
          cfg.d_model % cfg.n_heads == 0 &&
          cfg.n_layers > 0 && cfg.n_layers <= 1024 &&
          cfg.d_ff > 0 && cfg.d_ff <= (1 << 20) &&
-         cfg.max_len > 0 && cfg.max_len <= (1 << 24) &&
+         cfg.max_len > 0 && cfg.max_len <= ml::kMaxPositions &&
          cfg.dropout >= 0.0 && cfg.dropout < 1.0;
 }
 
@@ -227,7 +228,7 @@ void SizingModel::save(const std::string& prefix) const {
   {
     std::ofstream mdl(prefix + ".model", std::ios::binary);
     const auto& cfg = model_->config();
-    mdl.write(kModelMagicV2, sizeof kModelMagicV2);
+    mdl.write(kModelMagic, sizeof kModelMagic);
     write_field(mdl, cfg.vocab_size);
     write_field(mdl, cfg.d_model);
     write_field(mdl, cfg.n_heads);
@@ -241,8 +242,9 @@ void SizingModel::save(const std::string& prefix) const {
 }
 
 bool SizingModel::load(const std::string& prefix) {
+  const std::string path = prefix + ".model";
   std::ifstream bpe(prefix + ".bpe");
-  std::ifstream mdl(prefix + ".model", std::ios::binary);
+  std::ifstream mdl(path, std::ios::binary);
   if (!bpe || !mdl) return false;
   // As in train(): a throw below (corrupt file) must not leave a previous
   // model's engine paired with a new tokenizer.
@@ -252,34 +254,38 @@ bool SizingModel::load(const std::string& prefix) {
   ss << bpe.rdbuf();
   tokenizer_ = nlp::BpeTokenizer::deserialize(ss.str());
 
-  ml::TransformerConfig cfg;
   char magic[8] = {};
   mdl.read(magic, sizeof magic);
-  if (mdl && std::equal(magic, magic + 8, kModelMagicV2)) {
-    if (!read_field(mdl, cfg.vocab_size) || !read_field(mdl, cfg.d_model) ||
-        !read_field(mdl, cfg.n_heads) || !read_field(mdl, cfg.n_layers) ||
-        !read_field(mdl, cfg.d_ff) || !read_field(mdl, cfg.max_len) ||
-        !read_field(mdl, cfg.dropout) || !read_field(mdl, cfg.seed)) {
-      throw InvalidArgument("SizingModel::load: truncated v2 config header in " +
-                            prefix + ".model");
-    }
-    if (!config_is_plausible(cfg)) {
-      throw InvalidArgument("SizingModel::load: corrupt v2 config header in " +
-                            prefix + ".model");
-    }
-  } else {
-    // Legacy (untagged) format: the file starts with a raw TransformerConfig
-    // struct dump.  Best-effort: re-read it as the struct and sanity-check
-    // the fields, since padding bytes and layout were never guaranteed.
-    mdl.clear();
-    mdl.seekg(0);
-    mdl.read(reinterpret_cast<char*>(&cfg), sizeof cfg);
-    if (!mdl || !config_is_plausible(cfg)) {
-      throw InvalidArgument(
-          "SizingModel::load: " + prefix + ".model is neither a v2 model file "
-          "(magic 'otasmdl2') nor a readable legacy config; re-train and "
-          "re-save the model");
-    }
+  if (!mdl || !std::equal(magic, magic + 8, kModelMagic)) {
+    throw InvalidArgument("SizingModel::load: " + path +
+                          " is not a version-3 model file (magic 'otasmdl3'); "
+                          "re-train and re-save the model");
+  }
+  ml::TransformerConfig cfg;
+  if (!read_field(mdl, cfg.vocab_size) || !read_field(mdl, cfg.d_model) ||
+      !read_field(mdl, cfg.n_heads) || !read_field(mdl, cfg.n_layers) ||
+      !read_field(mdl, cfg.d_ff) || !read_field(mdl, cfg.max_len) ||
+      !read_field(mdl, cfg.dropout) || !read_field(mdl, cfg.seed)) {
+    throw InvalidArgument("SizingModel::load: truncated config header in " + path);
+  }
+  if (!config_is_plausible(cfg)) {
+    throw InvalidArgument("SizingModel::load: corrupt config header in " + path);
+  }
+  // Nothing is allocated until the header is known to describe exactly the
+  // weights the file holds, so a forged header cannot ask for gigabytes.
+  const std::streamoff header_end = mdl.tellg();
+  mdl.seekg(0, std::ios::end);
+  const std::streamoff weight_bytes = mdl.tellg() - header_end;
+  mdl.seekg(header_end);
+  if (weight_bytes != ml::Transformer::saved_bytes(cfg)) {
+    throw InvalidArgument("SizingModel::load: " + path +
+                          " holds a different number of weight bytes than "
+                          "its config header describes");
+  }
+  if (cfg.vocab_size != static_cast<int64_t>(tokenizer_.vocab().size())) {
+    throw InvalidArgument("SizingModel::load: " + path +
+                          " was trained on a different vocabulary than " +
+                          prefix + ".bpe");
   }
   model_ = std::make_unique<ml::Transformer>(cfg);
   model_->load(mdl);

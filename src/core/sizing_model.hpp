@@ -86,12 +86,14 @@ class SizingModel : public Predictor {
 
   /// Persists tokenizer + weights to `<prefix>.bpe` / `<prefix>.model`.
   /// The model file carries an explicit field-by-field config header
-  /// (version tag "otasmdl2"); see load() for the legacy format.
+  /// (version tag "otasmdl3") followed by the weights.
   void save(const std::string& prefix) const;
   /// Loads a previously saved model; returns false when files are missing.
-  /// Reads the versioned header, falling back to a best-effort parse of the
-  /// legacy raw-struct header (pre-version files written on the same
-  /// platform); throws InvalidArgument when neither format fits.
+  /// Throws InvalidArgument, before allocating any weights, for a file that
+  /// is not version 3 (earlier versions must be re-trained), a header with
+  /// implausible fields or max_len above ml::kMaxPositions, a weight section
+  /// whose size differs from what the header describes, or a vocabulary
+  /// size that differs from the .bpe file's.
   bool load(const std::string& prefix);
 
  private:

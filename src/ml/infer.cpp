@@ -214,30 +214,8 @@ class WeightMap {
   std::map<std::string, const Tensor*> by_name_;
 };
 
-/// Concatenates the per-head (d_model, d_head) projections of `site` into one
-/// (d_model, d_model) matrix, head h occupying columns [h*d_head, ...).
-Tensor fuse_heads(const WeightMap& w, const std::string& site,
-                  const char* which, int64_t d_model, int64_t d_head) {
-  const int64_t n_heads = d_model / d_head;
-  Tensor fused(d_model, d_model);
-  for (int64_t h = 0; h < n_heads; ++h) {
-    const Tensor& head =
-        w.get(site + ".h" + std::to_string(h) + "." + which);
-    if (head.rows() != d_model || head.cols() != d_head) {
-      throw InvalidArgument("InferenceEngine: unexpected head shape at " + site);
-    }
-    for (int64_t r = 0; r < d_model; ++r) {
-      for (int64_t c = 0; c < d_head; ++c) {
-        fused(r, h * d_head + c) = head(r, c);
-      }
-    }
-  }
-  return fused;
-}
-
 /// A double parameter at tier TT: the double tier copies it, the float32 tier
-/// narrows it (round to nearest).  Narrowing the already-fused tensors keeps
-/// both tiers on one layout.
+/// narrows it (round to nearest), so both tiers keep the trained layout.
 template <typename TT>
 TT to_tier(const Tensor& t) {
   if constexpr (std::is_same_v<TT, Tensor>) {
@@ -249,12 +227,10 @@ TT to_tier(const Tensor& t) {
 
 template <typename TT>
 FusedAttentionWeights<TT> snapshot_attention(const WeightMap& w,
-                                             const std::string& site,
-                                             int64_t d_model, int64_t d_head) {
-  return {to_tier<TT>(fuse_heads(w, site, "wq", d_model, d_head)),
-          to_tier<TT>(fuse_heads(w, site, "wk", d_model, d_head)),
-          to_tier<TT>(fuse_heads(w, site, "wv", d_model, d_head)),
-          to_tier<TT>(w.get(site + ".wo")), to_tier<TT>(w.get(site + ".bo"))};
+                                             const std::string& site) {
+  return {to_tier<TT>(w.get(site + ".wq")), to_tier<TT>(w.get(site + ".wk")),
+          to_tier<TT>(w.get(site + ".wv")), to_tier<TT>(w.get(site + ".wo")),
+          to_tier<TT>(w.get(site + ".bo"))};
 }
 
 template <typename TT>
@@ -277,7 +253,7 @@ LayerNormWeights<TT> snapshot_norm(const WeightMap& w,
 
 template <typename TT>
 InferenceEngine::Snapshot<TT> InferenceEngine::build_snapshot(
-    const Transformer& model, int64_t d_head) {
+    const Transformer& model) {
   const TransformerConfig& cfg = model.config();
   const WeightMap w(model);
   Snapshot<TT> s;
@@ -289,14 +265,14 @@ InferenceEngine::Snapshot<TT> InferenceEngine::build_snapshot(
   for (int64_t l = 0; l < cfg.n_layers; ++l) {
     const std::string enc = "enc" + std::to_string(l);
     s.encoder.push_back(
-        {snapshot_attention<TT>(w, enc + ".self", cfg.d_model, d_head),
+        {snapshot_attention<TT>(w, enc + ".self"),
          snapshot_ffn<TT>(w, enc + ".ffn"),
          snapshot_norm<TT>(w, enc + ".norm1"),
          snapshot_norm<TT>(w, enc + ".norm2")});
     const std::string dec = "dec" + std::to_string(l);
     s.decoder.push_back(
-        {snapshot_attention<TT>(w, dec + ".self", cfg.d_model, d_head),
-         snapshot_attention<TT>(w, dec + ".cross", cfg.d_model, d_head),
+        {snapshot_attention<TT>(w, dec + ".self"),
+         snapshot_attention<TT>(w, dec + ".cross"),
          snapshot_ffn<TT>(w, dec + ".ffn"),
          snapshot_norm<TT>(w, dec + ".norm1"),
          snapshot_norm<TT>(w, dec + ".norm2"),
@@ -308,8 +284,7 @@ InferenceEngine::Snapshot<TT> InferenceEngine::build_snapshot(
 InferenceEngine::InferenceEngine(const Transformer& model)
     : cfg_(model.config()),
       d_head_(cfg_.d_model / cfg_.n_heads),
-      snapshots_(build_snapshot<Tensor>(model, d_head_),
-                 build_snapshot<TensorF>(model, d_head_)) {}
+      snapshots_(build_snapshot<Tensor>(model), build_snapshot<TensorF>(model)) {}
 
 /// Encoder pass: embedding+positional rows, then per-layer self-attention /
 /// norm / FFN / norm.  The Tensor instantiation is the bit-identity

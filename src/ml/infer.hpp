@@ -7,9 +7,9 @@
 // autograd graph each time.  InferenceEngine is the lean evaluation
 // representation compiled once from a trained model:
 //
-//  * weights are snapshotted into plain tensors, with the per-head Q/K/V
-//    projections of each attention site fused into single d_model x d_model
-//    GEMMs (one matmul instead of 3*n_heads tiny ones);
+//  * weights are snapshotted into plain tensors in the trained layout, where
+//    each attention site's Q/K/V is one d_model x d_model matrix (one matmul
+//    per projection instead of one per head);
 //  * both precision tiers (ml/precision.hpp) share one templated snapshot
 //    layout and one encode and decode-step body, instantiated for Tensor
 //    (the double reference) and TensorF (the float32 serving tier);
@@ -24,9 +24,10 @@
 // Numerical contract: at the double tier the engine's greedy token output is
 // IDENTICAL — token for token, bit for bit — to Transformer::greedy_decode.
 // Every loop here replicates the accumulation order (and the zero-skip of the
-// NN GEMM kernel in tensor.cpp) of the reference ops, and fusing the head
-// projections keeps each output column's dot product unchanged because GEMM
-// columns are independent.  tests/test_infer.cpp property-tests this on
+// NN GEMM kernel in tensor.cpp) of the reference ops, and one fused
+// projection computes each head's output columns with the same dot products
+// as the reference's per-head column slice, because GEMM columns are
+// independent.  tests/test_infer.cpp property-tests this on
 // trained models and pins both tiers' logits bit for bit.
 #pragma once
 
@@ -43,8 +44,8 @@ class ThreadPool;
 
 namespace ota::ml {
 
-/// One attention site with the head projections fused column-wise: column
-/// block [h*d_head, (h+1)*d_head) of wq/wk/wv is head h's projection.
+/// One attention site in the trained layout: column block
+/// [h*d_head, (h+1)*d_head) of wq/wk/wv is head h's projection.
 /// Templated on the tensor type (TT = Tensor or TensorF), like every weight
 /// struct below, so both precision tiers share one layout.
 template <typename TT>
@@ -196,7 +197,7 @@ class InferenceEngine {
   };
 
   template <typename TT>
-  static Snapshot<TT> build_snapshot(const Transformer& model, int64_t d_head);
+  static Snapshot<TT> build_snapshot(const Transformer& model);
 
   template <typename TT>
   const Snapshot<TT>& snapshot() const {

@@ -50,17 +50,25 @@ MultiHeadAttention::MultiHeadAttention(int64_t d_model, int64_t n_heads,
   if (d_model % n_heads != 0) {
     throw InvalidArgument("MultiHeadAttention: d_model must divide by heads");
   }
+  n_heads_ = n_heads;
   d_head_ = d_model / n_heads;
-  heads_.resize(static_cast<size_t>(n_heads));
+  // Each head's (d_model, d_head) Xavier draws, q then k then v, placed side
+  // by side: the draw order (and so every initial weight) is that of
+  // separate per-head projections.
+  Tensor wq(d_model, d_model), wk(d_model, d_model), wv(d_model, d_model);
   for (int64_t h = 0; h < n_heads; ++h) {
-    const std::string hn = name + ".h" + std::to_string(h);
-    heads_[static_cast<size_t>(h)].wq =
-        reg.track(parameter(Tensor::xavier(d_model, d_head_, rng)), hn + ".wq");
-    heads_[static_cast<size_t>(h)].wk =
-        reg.track(parameter(Tensor::xavier(d_model, d_head_, rng)), hn + ".wk");
-    heads_[static_cast<size_t>(h)].wv =
-        reg.track(parameter(Tensor::xavier(d_model, d_head_, rng)), hn + ".wv");
+    for (Tensor* fused : {&wq, &wk, &wv}) {
+      const Tensor head = Tensor::xavier(d_model, d_head_, rng);
+      for (int64_t r = 0; r < d_model; ++r) {
+        for (int64_t c = 0; c < d_head_; ++c) {
+          (*fused)(r, h * d_head_ + c) = head(r, c);
+        }
+      }
+    }
   }
+  wq_ = reg.track(parameter(std::move(wq)), name + ".wq");
+  wk_ = reg.track(parameter(std::move(wk)), name + ".wk");
+  wv_ = reg.track(parameter(std::move(wv)), name + ".wv");
   wo_ = reg.track(parameter(Tensor::xavier(d_model, d_model, rng)), name + ".wo");
   bo_ = reg.track(parameter(Tensor(1, d_model)), name + ".bo");
 }
@@ -69,12 +77,15 @@ Var MultiHeadAttention::forward(const Var& query, const Var& key_value,
                                 bool causal, double dropout_p, bool training,
                                 Rng& rng) const {
   std::vector<Var> outputs;
-  outputs.reserve(heads_.size());
+  outputs.reserve(static_cast<size_t>(n_heads_));
   const double inv_sqrt_dk = 1.0 / std::sqrt(static_cast<double>(d_head_));
-  for (const Head& h : heads_) {
-    const Var q = matmul(query, h.wq);
-    const Var k = matmul(key_value, h.wk);
-    const Var v = matmul(key_value, h.wv);
+  for (int64_t h = 0; h < n_heads_; ++h) {
+    // Slicing the weights (not one fused GEMM's output) keeps each head's
+    // GEMMs, and so every activation and gradient, bit for bit per head.
+    const int64_t c0 = h * d_head_;
+    const Var q = matmul(query, slice_cols(wq_, c0, d_head_));
+    const Var k = matmul(key_value, slice_cols(wk_, c0, d_head_));
+    const Var v = matmul(key_value, slice_cols(wv_, c0, d_head_));
     const Var attn = attention_probs(matmul_nt(q, k), inv_sqrt_dk, causal,
                                      dropout_p, training, rng);
     outputs.push_back(matmul(attn, v));

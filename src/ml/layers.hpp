@@ -49,7 +49,9 @@ class PositionalEncoding {
   Tensor table_;
 };
 
-/// Multi-head scaled dot-product attention with per-head projections.
+/// Multi-head scaled dot-product attention.  Q, K and V are each one
+/// (d_model, d_model) parameter (`<name>.wq/.wk/.wv`); head h owns columns
+/// [h*d_head, (h+1)*d_head), the layout InferenceEngine computes with.
 class MultiHeadAttention {
  public:
   MultiHeadAttention() = default;
@@ -61,12 +63,8 @@ class MultiHeadAttention {
               double dropout_p, bool training, Rng& rng) const;
 
  private:
-  struct Head {
-    Var wq, wk, wv;
-  };
-  std::vector<Head> heads_;
-  Var wo_, bo_;
-  int64_t d_head_ = 0;
+  Var wq_, wk_, wv_, wo_, bo_;
+  int64_t n_heads_ = 0, d_head_ = 0;
 };
 
 /// Two-layer position-wise FFN with ReLU and dropout (paper Section II-A).

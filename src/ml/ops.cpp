@@ -351,6 +351,24 @@ Var concat_cols(const std::vector<Var>& parts) {
   });
 }
 
+Var slice_cols(const Var& a, int64_t begin, int64_t count) {
+  const int64_t rows = a->value.rows();
+  if (begin < 0 || count <= 0 || begin > a->value.cols() - count) {
+    throw InvalidArgument("slice_cols: column range outside the tensor");
+  }
+  Tensor out(rows, count);
+  for (int64_t r = 0; r < rows; ++r) {
+    for (int64_t c = 0; c < count; ++c) out(r, c) = a->value(r, begin + c);
+  }
+  return make_node(std::move(out), {a}, [a, begin](Node& n) {
+    if (!a->requires_grad) return;
+    Tensor& g = a->ensure_grad();
+    for (int64_t r = 0; r < n.grad.rows(); ++r) {
+      for (int64_t c = 0; c < n.grad.cols(); ++c) g(r, begin + c) += n.grad(r, c);
+    }
+  });
+}
+
 Var dropout(const Var& a, double p, bool training, Rng& rng) {
   if (!dropout_active(p, training)) return a;
   auto mask = dropout_mask(a->value.rows(), a->value.cols(), p, rng);

@@ -40,6 +40,10 @@ Var embedding(const Var& table, const std::vector<nlp::TokenId>& ids);
 /// Horizontal concatenation of equal-row tensors (the multi-head join).
 Var concat_cols(const std::vector<Var>& parts);
 
+/// Columns [begin, begin + count) of `a` (one head's block of a fused
+/// projection).  Throws InvalidArgument when the range leaves `a`.
+Var slice_cols(const Var& a, int64_t begin, int64_t count);
+
 /// Inverted dropout; identity when !training or p <= 0.  Throws
 /// InvalidArgument for a non-finite p, or for p >= 1 when training.
 Var dropout(const Var& a, double p, bool training, Rng& rng);

@@ -10,15 +10,20 @@ namespace ota::ml {
 using nlp::TokenId;
 using nlp::Vocabulary;
 
-Transformer::Transformer(const TransformerConfig& config)
-    : cfg_(config), pos_(config.max_len, config.d_model) {
+Transformer::Transformer(const TransformerConfig& config) : cfg_(config) {
   if (cfg_.vocab_size <= 0) {
     throw InvalidArgument("Transformer: vocab_size must be set");
   }
-  // The same range the model-file loader accepts, so a trained model reloads.
+  // The same ranges the model-file loader accepts, so a trained model
+  // reloads.  max_len is checked before the positional table is built.
+  if (cfg_.max_len <= 0 || cfg_.max_len > kMaxPositions) {
+    throw InvalidArgument(std::string("Transformer: max_len must be in [1, ") +
+                          std::to_string(kMaxPositions) + "]");
+  }
   if (!(cfg_.dropout >= 0.0 && cfg_.dropout < 1.0)) {
     throw InvalidArgument("Transformer: dropout must be finite and in [0, 1)");
   }
+  pos_ = PositionalEncoding(cfg_.max_len, cfg_.d_model);
   Rng rng(cfg_.seed);
   src_embed_ = reg_.track(
       parameter(Tensor::xavier(cfg_.vocab_size, cfg_.d_model, rng)), "src_embed");
@@ -159,6 +164,23 @@ void Transformer::load(std::istream& is) {
             static_cast<std::streamsize>(sizeof(double) * p->value.data().size()));
     if (!is) throw InvalidArgument("Transformer::load: truncated file");
   }
+}
+
+int64_t Transformer::saved_bytes(const TransformerConfig& c) {
+  // Mirrors the constructor's registry: an encoder layer holds 13 tensors
+  // (attention 5, FFN 4, two norms 4), a decoder layer 20 (two attentions,
+  // FFN, three norms), plus the two embeddings and the output projection.
+  // Each tensor is written as rows and cols (two int64) then its doubles,
+  // after the 8-byte magic and the int64 tensor count.
+  const int64_t d = c.d_model;
+  const int64_t attention = 4 * d * d + d;
+  const int64_t ffn = 2 * d * c.d_ff + c.d_ff + d;
+  const int64_t norm = 2 * d;
+  const int64_t tensors = 4 + c.n_layers * (13 + 20);
+  const int64_t scalars =
+      3 * c.vocab_size * d + c.vocab_size +
+      c.n_layers * ((attention + ffn + 2 * norm) + (2 * attention + ffn + 3 * norm));
+  return 16 + 16 * tensors + 8 * scalars;
 }
 
 int64_t Transformer::parameter_count() const {

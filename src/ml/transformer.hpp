@@ -15,13 +15,17 @@
 
 namespace ota::ml {
 
+/// Largest positional table (max_len) a Transformer builds.  The table is
+/// computed, not stored, so a model file's size cannot bound it; this does.
+inline constexpr int64_t kMaxPositions = 1 << 16;
+
 struct TransformerConfig {
   int64_t vocab_size = 0;   ///< set from the tokenizer
   int64_t d_model = 64;     ///< paper: 720
   int64_t n_heads = 4;      ///< paper: 12
   int64_t n_layers = 2;     ///< encoder and decoder stack depth (paper: 6)
   int64_t d_ff = 128;       ///< position-wise FFN width
-  int64_t max_len = 1024;   ///< positional table size
+  int64_t max_len = 1024;   ///< positional table size, in [1, kMaxPositions]
   double dropout = 0.1;     ///< finite, in [0, 1); checked by Transformer
   uint64_t seed = 1234;
 };
@@ -70,6 +74,11 @@ class Transformer {
   /// Binary weight serialization (architecture must match on load).
   void save(std::ostream& os) const;
   void load(std::istream& is);
+  /// The number of bytes save() writes for a model of `config`, computed
+  /// without building one (the model-file loader checks it against the file
+  /// before allocating).  `config` must already be bounded, as the loader's
+  /// plausibility check does, or the count can overflow.
+  static int64_t saved_bytes(const TransformerConfig& config);
 
   /// Total number of scalar parameters.
   int64_t parameter_count() const;

@@ -284,6 +284,24 @@ TEST_F(AutogradTest, ConcatColsGradient) {
   gradcheck([&] { return sum(mul(concat_cols({a, b}), w)); }, b);
 }
 
+TEST_F(AutogradTest, SliceColsGradient) {
+  // Two adjacent blocks and one overlapping both, as attention heads read
+  // a fused projection (plus an overlap, which must accumulate).
+  Var a = parameter(random_tensor(3, 6, rng));
+  Var w = constant(random_tensor(3, 2, rng));
+  const auto loss = [&] {
+    return sum(mul(add(add(slice_cols(a, 0, 2), slice_cols(a, 2, 2)),
+                       slice_cols(a, 1, 2)),
+                   w));
+  };
+  gradcheck(loss, a);
+  EXPECT_EQ(slice_cols(a, 4, 2)->value(1, 1), a->value(1, 5));
+  EXPECT_THROW((void)slice_cols(a, -1, 2), InvalidArgument);
+  EXPECT_THROW((void)slice_cols(a, 5, 2), InvalidArgument);
+  EXPECT_THROW((void)slice_cols(a, 0, 0), InvalidArgument);
+  EXPECT_THROW((void)slice_cols(a, 0, 7), InvalidArgument);
+}
+
 TEST_F(AutogradTest, CrossEntropyGradient) {
   Var logits = parameter(random_tensor(4, 6, rng));
   const std::vector<nlp::TokenId> targets{2, 0, 5, 1};

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
+#include <string>
 
 #include "ml/adam.hpp"
 
@@ -117,6 +119,58 @@ TEST(Transformer, SaveLoadRoundTrip) {
   const Var b = other.encode(src, false, rng);
   for (int64_t i = 0; i < a->value.size(); ++i) {
     EXPECT_DOUBLE_EQ(a->value.at(i), b->value.at(i));
+  }
+}
+
+TEST(Transformer, AttentionInitMatchesPerHeadXavierDraws) {
+  // Each attention site stores Q/K/V as one (d_model, d_model) tensor whose
+  // column block h is head h; the initial weights must be the per-head
+  // Xavier draws (q, k, v per head, in head order) of separate projections.
+  const TransformerConfig cfg = tiny_config(11);
+  const Transformer model(cfg);
+  const int64_t d = cfg.d_model, d_head = cfg.d_model / cfg.n_heads;
+  Rng rng(cfg.seed);
+  (void)Tensor::xavier(cfg.vocab_size, d, rng);  // src_embed
+  (void)Tensor::xavier(cfg.vocab_size, d, rng);  // tgt_embed
+  std::map<std::string, const Tensor*> by_name;
+  for (size_t i = 0; i < model.parameters().size(); ++i) {
+    by_name[model.parameter_names()[i]] = &model.parameters()[i]->value;
+  }
+  for (int64_t h = 0; h < cfg.n_heads; ++h) {
+    for (const char* which : {"wq", "wk", "wv"}) {
+      const Tensor head = Tensor::xavier(d, d_head, rng);
+      const Tensor& fused = *by_name.at(std::string("enc0.self.") + which);
+      ASSERT_EQ(fused.rows(), d);
+      ASSERT_EQ(fused.cols(), d);
+      for (int64_t r = 0; r < d; ++r) {
+        for (int64_t c = 0; c < d_head; ++c) {
+          ASSERT_EQ(fused(r, h * d_head + c), head(r, c))
+              << which << " head " << h << " (" << r << "," << c << ")";
+        }
+      }
+    }
+  }
+  // The draws after the heads are unchanged too.
+  EXPECT_EQ(by_name.at("enc0.self.wo")->data(), Tensor::xavier(d, d, rng).data());
+}
+
+TEST(Transformer, SavedBytesMatchesSave) {
+  for (int64_t layers : {1, 2}) {
+    TransformerConfig cfg = tiny_config(13);
+    cfg.n_layers = layers;
+    cfg.d_ff = 24;
+    std::stringstream buf;
+    Transformer(cfg).save(buf);
+    EXPECT_EQ(static_cast<int64_t>(buf.str().size()), Transformer::saved_bytes(cfg))
+        << layers;
+  }
+}
+
+TEST(Transformer, MaxLenOutsideTableBoundsRejected) {
+  TransformerConfig cfg = tiny_config(11);
+  for (int64_t max_len : {int64_t{0}, kMaxPositions + 1}) {
+    cfg.max_len = max_len;
+    EXPECT_THROW((void)Transformer(cfg), InvalidArgument) << max_len;
   }
 }
 
