@@ -20,6 +20,7 @@
 //
 // Results are written as JSON (path from OTA_BENCH_JSON, default
 // BENCH_infer.json) for scripts/bench_snapshot.sh.
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <fstream>
@@ -130,16 +131,25 @@ int main() {
 
   // Throughput: repeated serial passes over the batch; the agreement gate
   // means both tiers execute the same number of session steps, so the rate
-  // ratio is a pure per-token cost ratio.
+  // ratio is a pure per-token cost ratio.  Each tier is timed over kWindows
+  // windows of `repeats` passes and reports the median window: one short
+  // window of a smoke decode swings by more than the snapshot gate's
+  // tolerance on a shared host.
   const int64_t steps = steps_of(ref, max_tokens);
   const int repeats = smoke ? 2 : 5;
+  constexpr int kWindows = 5;
   const auto time_tier = [&](ml::Precision tier) {
     (void)engine.greedy_decode_batch(srcs, max_tokens, 1, tier);  // warm-up
-    const auto t0 = Clock::now();
-    for (int r = 0; r < repeats; ++r) {
-      (void)engine.greedy_decode_batch(srcs, max_tokens, 1, tier);
+    std::vector<double> windows;
+    for (int w = 0; w < kWindows; ++w) {
+      const auto t0 = Clock::now();
+      for (int r = 0; r < repeats; ++r) {
+        (void)engine.greedy_decode_batch(srcs, max_tokens, 1, tier);
+      }
+      windows.push_back(std::chrono::duration<double>(Clock::now() - t0).count());
     }
-    return std::chrono::duration<double>(Clock::now() - t0).count();
+    std::nth_element(windows.begin(), windows.begin() + kWindows / 2, windows.end());
+    return windows[kWindows / 2];
   };
   const double double_seconds = time_tier(ml::Precision::kDouble);
   const double f32_seconds = time_tier(ml::Precision::kFloat32);
@@ -154,6 +164,7 @@ int main() {
               double_rate, "1.00x");
   std::printf("%10s %9.3fs %12.0f %8.2fx\n", "float32", f32_seconds, f32_rate,
               speedup);
+  std::printf("(seconds: median of %d windows of %d passes)\n", kWindows, repeats);
   std::printf("agreement: %s over %d probes (%lld decode steps/pass)\n",
               agree ? "token-identical" : "DIVERGED", n_probes,
               static_cast<long long>(steps));

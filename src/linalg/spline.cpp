@@ -149,14 +149,37 @@ void BicubicSpline::evaluate(double x, double y, std::span<double> out) const {
   if (out.size() != channels_) {
     throw InvalidArgument("BicubicSpline: output size differs from channel count");
   }
+  const SplineSegment sx =
+      x_.segment(std::clamp(x, x_.knots().front(), x_.knots().back()));
+  evaluate_segment(build_column(y, sx.i), sx, out);
+}
+
+std::span<const double> BicubicSpline::column(double y) const {
+  if (empty()) throw InternalError("BicubicSpline: evaluating empty spline");
+  return build_column(y, 0);
+}
+
+void BicubicSpline::evaluate_column(std::span<const double> column, double x,
+                                    std::span<double> out) const {
+  if (empty()) throw InternalError("BicubicSpline: evaluating empty spline");
+  if (column.size() != column_size()) {
+    throw InvalidArgument("BicubicSpline: column size differs from the grid's");
+  }
+  if (out.size() != channels_) {
+    throw InvalidArgument("BicubicSpline: output size differs from channel count");
+  }
+  evaluate_segment(
+      column, x_.segment(std::clamp(x, x_.knots().front(), x_.knots().back())), out);
+}
+
+std::span<const double> BicubicSpline::build_column(double y, size_t lowest) const {
   const size_t nx = x_.size(), ny = y_.size(), c_n = channels_;
-  x = std::clamp(x, x_.knots().front(), x_.knots().back());
   y = std::clamp(y, y_.knots().front(), y_.knots().back());
 
   // Per-thread scratch for the column of row values and its second
   // derivatives; it grows on a thread's first query and is reused after.
   thread_local std::vector<double> scratch;
-  if (scratch.size() < 2 * nx * c_n) scratch.resize(2 * nx * c_n);
+  if (scratch.size() < column_size()) scratch.resize(column_size());
   double* column = scratch.data();
   double* m = column + nx * c_n;
 
@@ -169,9 +192,15 @@ void BicubicSpline::evaluate(double x, double y, std::span<double> out) const {
           sy(z_[at + c], z_[at + c_n + c], mz_[at + c], mz_[at + c_n + c]);
     }
   }
+  x_.second_derivatives(column, c_n, m, lowest);
+  return {column, column_size()};
+}
 
-  const SplineSegment sx = x_.segment(x);
-  x_.second_derivatives(column, c_n, m, sx.i);
+void BicubicSpline::evaluate_segment(std::span<const double> column,
+                                     const SplineSegment& sx,
+                                     std::span<double> out) const {
+  const size_t c_n = channels_;
+  const double* m = column.data() + x_.size() * c_n;
   const size_t at = sx.i * c_n;
   for (size_t c = 0; c < c_n; ++c) {
     out[c] = sx(column[at + c], column[at + c_n + c], m[at + c], m[at + c_n + c]);

@@ -97,6 +97,12 @@ class CubicSpline1D {
 /// bit-identical to splining each row with a CubicSpline1D and the column
 /// with a fresh CubicSpline1D(x, column); queries allocate nothing after a
 /// thread's first.
+///
+/// Callers that query many x at one y build the column once with column()
+/// and answer each x with evaluate_column(), which skips the row
+/// interpolation and the tridiagonal solve.  The answers are bit-identical to
+/// evaluate(): the back substitution yields the same value at a knot however
+/// far below it the sweep continues.
 class BicubicSpline {
  public:
   BicubicSpline() = default;
@@ -118,6 +124,20 @@ class BicubicSpline {
   /// bounding box; `out.size()` must equal channels().
   void evaluate(double x, double y, std::span<double> out) const;
 
+  /// Doubles in one column: every channel's row value at each x knot,
+  /// followed by the second derivatives along x in the same layout.
+  size_t column_size() const { return 2 * x_.size() * channels_; }
+
+  /// The column at `y` (clamped to the grid), built in this thread's
+  /// evaluation scratch: the view stays valid until the thread's next
+  /// column() or evaluate() on any BicubicSpline.  Copy it to keep it.
+  std::span<const double> column(double y) const;
+
+  /// Every channel at (x, y) from a column built at y, clamped to the grid
+  /// in x; bit-identical to evaluate(x, y, out).  Touches no scratch.
+  void evaluate_column(std::span<const double> column, double x,
+                       std::span<double> out) const;
+
   /// Raw grid sample of channel `c` at (x[i], y[j]).
   double sample(size_t i, size_t j, size_t c = 0) const {
     return z_[(i * y_.size() + j) * channels_ + c];
@@ -127,6 +147,13 @@ class BicubicSpline {
   bool empty() const { return channels_ == 0; }
 
  private:
+  // Builds the column at y in thread scratch with second derivatives
+  // guaranteed at knots >= `lowest` only.
+  std::span<const double> build_column(double y, size_t lowest) const;
+  // Evaluates every channel in x segment `sx` of a built column.
+  void evaluate_segment(std::span<const double> column, const SplineSegment& sx,
+                        std::span<double> out) const;
+
   SplineAxis x_;
   SplineAxis y_;
   size_t channels_ = 0;

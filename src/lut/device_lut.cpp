@@ -12,6 +12,9 @@ DeviceLut::DeviceLut(const device::MosModel& model, const LutOptions& opt)
   if (opt.v_step <= 0 || opt.v_max <= opt.v_min) {
     throw InvalidArgument("DeviceLut: bad grid options");
   }
+  if (opt.vds_scan_points < 2) {
+    throw InvalidArgument("DeviceLut: vds_scan_points must be at least 2");
+  }
   // Index-based generation avoids floating-point accumulation drifting the
   // last knot past v_max.
   const int count = static_cast<int>(std::round((opt.v_max - opt.v_min) / opt.v_step)) + 1;
@@ -36,12 +39,37 @@ DeviceLut::DeviceLut(const device::MosModel& model, const LutOptions& opt)
     }
   }
   spline_ = linalg::BicubicSpline(vgs_, vds_, grids);
+
+  // Every width scan visits the same Vds points, so their columns are built
+  // once here rather than once per lookup.
+  const int points = opt.vds_scan_points;
+  const double lo = vds_.front(), hi = vds_.back();
+  scan_columns_.reserve(static_cast<size_t>(points) * spline_.column_size());
+  for (int i = 0; i < points; ++i) {
+    scan_vds_.push_back(lo + (hi - lo) * i / (points - 1));
+    const auto column = spline_.column(scan_vds_.back());
+    scan_columns_.insert(scan_columns_.end(), column.begin(), column.end());
+  }
 }
 
 LutEntry DeviceLut::lookup(double vgs, double vds) const {
   double v[5];
   spline_.evaluate(vgs, vds, v);
   return LutEntry{v[0], v[1], v[2], v[3], v[4]};
+}
+
+LutEntry DeviceLut::lookup(std::span<const double> column, double vgs) const {
+  double v[5];
+  spline_.evaluate_column(column, vgs, v);
+  return LutEntry{v[0], v[1], v[2], v[3], v[4]};
+}
+
+LutEntry DeviceLut::lookup_scan(double vgs, size_t k) const {
+  if (k >= scan_vds_.size()) {
+    throw InvalidArgument("DeviceLut::lookup_scan: scan point out of range");
+  }
+  const size_t n = spline_.column_size();
+  return lookup(std::span<const double>(scan_columns_).subspan(k * n, n), vgs);
 }
 
 LutEntry DeviceLut::grid_entry(size_t i_vgs, size_t i_vds) const {
@@ -51,10 +79,14 @@ LutEntry DeviceLut::grid_entry(size_t i_vgs, size_t i_vds) const {
 }
 
 std::pair<double, double> DeviceLut::gmid_range(double vds) const {
+  return gmid_range(spline_.column(vds));
+}
+
+std::pair<double, double> DeviceLut::gmid_range(std::span<const double> column) const {
   // gm/Id decreases with Vgs, so the extremes sit at the grid ends.  Guard
   // against the near-zero current at the lowest Vgs with a floor.
-  const LutEntry lo = lookup(vgs_.front(), vds);
-  const LutEntry hi = lookup(vgs_.back(), vds);
+  const LutEntry lo = lookup(column, vgs_.front());
+  const LutEntry hi = lookup(column, vgs_.back());
   const double max_gmid = lo.id > 0 ? lo.gm / lo.id : 0.0;
   const double min_gmid = hi.id > 0 ? hi.gm / hi.id : 0.0;
   return {min_gmid, max_gmid};
@@ -62,7 +94,9 @@ std::pair<double, double> DeviceLut::gmid_range(double vds) const {
 
 std::optional<double> DeviceLut::find_vgs_for_gmid(double gmid, double vds) const {
   if (gmid <= 0) return std::nullopt;
-  const auto [lo_gmid, hi_gmid] = gmid_range(vds);
+  // Every lookup below sits at this vds: one column serves them all.
+  const auto column = spline_.column(vds);
+  const auto [lo_gmid, hi_gmid] = gmid_range(column);
   if (gmid < lo_gmid * (1 - 1e-9) || gmid > hi_gmid * (1 + 1e-9)) {
     return std::nullopt;
   }
@@ -70,7 +104,7 @@ std::optional<double> DeviceLut::find_vgs_for_gmid(double gmid, double vds) cons
   double lo = vgs_.front(), hi = vgs_.back();
   for (int it = 0; it < 100; ++it) {
     const double mid = 0.5 * (lo + hi);
-    const LutEntry e = lookup(mid, vds);
+    const LutEntry e = lookup(column, mid);
     const double g = e.id > 0 ? e.gm / e.id : 1e30;
     if (g > gmid) {
       lo = mid;  // too weak: move toward stronger inversion

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "device/mos_model.hpp"
@@ -33,6 +34,9 @@ struct LutOptions {
   double v_step = 0.06;
   double wref = 700e-9;
   double l = 180e-9;
+  /// Points of the width estimators' inner Vds scan, evenly spaced over the
+  /// Vds axis (at least 2); the LUT precomputes one spline column per point.
+  int vds_scan_points = 121;
 };
 
 /// LUT for one device polarity at one channel length.  Bias values are
@@ -53,6 +57,15 @@ class DeviceLut {
   /// Achievable gm/Id range at a given vds: {min, max}.
   std::pair<double, double> gmid_range(double vds) const;
 
+  /// The width scan's Vds grid: options().vds_scan_points evenly spaced
+  /// points from the first to the last Vds knot.
+  const std::vector<double>& scan_vds() const { return scan_vds_; }
+
+  /// lookup(vgs, scan_vds()[k]), bit for bit, from the spline column
+  /// precomputed at construction.  Throws InvalidArgument unless
+  /// k < scan_vds().size().
+  LutEntry lookup_scan(double vgs, size_t k) const;
+
   const LutOptions& options() const { return opt_; }
   const std::vector<double>& vgs_axis() const { return vgs_; }
   const std::vector<double>& vds_axis() const { return vds_; }
@@ -61,12 +74,18 @@ class DeviceLut {
   LutEntry grid_entry(size_t i_vgs, size_t i_vds) const;
 
  private:
+  LutEntry lookup(std::span<const double> column, double vgs) const;
+  std::pair<double, double> gmid_range(std::span<const double> column) const;
+
   LutOptions opt_;
   std::vector<double> vgs_;
   std::vector<double> vds_;
   // One five-channel interpolator over the shared axes, channels in
   // LutEntry order {Id, gm, gds, Cds, Cgs}; it also holds the raw samples.
   linalg::BicubicSpline spline_;
+  std::vector<double> scan_vds_;
+  // The spline column at each scan_vds_ point, back to back.
+  std::vector<double> scan_columns_;
 };
 
 }  // namespace ota::lut

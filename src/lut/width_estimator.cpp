@@ -55,20 +55,18 @@ struct VdsScanResult {
   double width = 0.0;
 };
 
-// Inner minimization over Vds at a fixed Vgs (Algorithm 1 line 12).
-VdsScanResult scan_vds(const DeviceLut& lut, const PredictedParams& p,
-                       double vgs, int points) {
-  const auto& axis = lut.vds_axis();
-  VdsScanResult best{axis.front(), 1e300, 0.0};
-  const double lo = axis.front(), hi = axis.back();
-  for (int i = 0; i < points; ++i) {
-    const double vds = lo + (hi - lo) * i / (points - 1);
-    const LutEntry e = lut.lookup(vgs, vds);
+// Inner minimization over Vds at a fixed Vgs (Algorithm 1 line 12), on the
+// LUT's precomputed scan grid.
+VdsScanResult scan_vds(const DeviceLut& lut, const PredictedParams& p, double vgs) {
+  const auto& grid = lut.scan_vds();
+  VdsScanResult best{lut.vds_axis().front(), 1e300, 0.0};
+  for (size_t i = 0; i < grid.size(); ++i) {
+    const LutEntry e = lut.lookup_scan(vgs, i);
     const auto ws = candidate_widths(p, e);
     if (ws.size() < 2) continue;
     const double c = pairwise_cost(ws);
     if (c < best.cost) {
-      best = VdsScanResult{vds, c, ws.front()};
+      best = VdsScanResult{grid[i], c, ws.front()};
     }
   }
   return best;
@@ -113,7 +111,7 @@ std::optional<WidthEstimate> estimate_width(const DeviceLut& lut,
 
     // Lines 8-12: candidate widths as functions of Vds; take the minimum of
     // the pairwise disagreement over the Vds axis.
-    const VdsScanResult scan = scan_vds(lut, p, *vgs, opt.vds_scan_points);
+    const VdsScanResult scan = scan_vds(lut, p, *vgs);
 
     result.vgs = *vgs;
     result.vds = scan.vds;
@@ -134,8 +132,7 @@ std::optional<WidthEstimate> estimate_width(const DeviceLut& lut,
 }
 
 std::optional<WidthEstimate> estimate_width_scan(const DeviceLut& lut,
-                                                 const PredictedParams& p,
-                                                 const WidthEstimatorOptions& opt) {
+                                                 const PredictedParams& p) {
   int available = 0;
   for (const auto& q : {p.gm, p.gds, p.cds, p.cgs, p.id}) {
     if (q) ++available;
@@ -152,7 +149,7 @@ std::optional<WidthEstimate> estimate_width_scan(const DeviceLut& lut,
   // Grid over Vgs (axis resolution) with the same inner Vds scan as above;
   // then one refinement pass around the winner at 4x density.
   for (double vgs : vgs_axis) {
-    const VdsScanResult scan = scan_vds(lut, p, vgs, opt.vds_scan_points);
+    const VdsScanResult scan = scan_vds(lut, p, vgs);
     if (scan.cost < best.cost) {
       const LutEntry e = lut.lookup(vgs, scan.vds);
       const auto ws = candidate_widths(p, e);
@@ -170,7 +167,7 @@ std::optional<WidthEstimate> estimate_width_scan(const DeviceLut& lut,
                       static_cast<double>(vgs_axis.size() - 1);
   for (double vgs = std::max(vgs_axis.front(), best.vgs - step);
        vgs <= std::min(vgs_axis.back(), best.vgs + step); vgs += step / 8.0) {
-    const VdsScanResult scan = scan_vds(lut, p, vgs, opt.vds_scan_points);
+    const VdsScanResult scan = scan_vds(lut, p, vgs);
     if (scan.cost < best.cost) {
       const LutEntry e = lut.lookup(vgs, scan.vds);
       const auto ws = candidate_widths(p, e);

@@ -27,11 +27,12 @@ struct PredictedParams {
   std::optional<double> id;   ///< [A]
 };
 
+/// Algorithm 1's outer-loop settings.  The inner Vds scan runs on the LUT's
+/// own grid (LutOptions::vds_scan_points).
 struct WidthEstimatorOptions {
   double alpha = 1e-4;       ///< paper's empirically chosen Vds step factor
   double epsilon = 1e-9;     ///< cost-change convergence tolerance
   int max_iterations = 60;   ///< safety bound on the outer loop
-  int vds_scan_points = 121; ///< inner cost minimization grid density
 };
 
 struct WidthEstimate {
@@ -56,7 +57,6 @@ std::optional<WidthEstimate> estimate_width(const DeviceLut& lut,
 /// present (needs at least two, all finite; throws InvalidArgument
 /// otherwise).  Used when Id or gm is unavailable.
 std::optional<WidthEstimate> estimate_width_scan(const DeviceLut& lut,
-                                                 const PredictedParams& p,
-                                                 const WidthEstimatorOptions& opt = {});
+                                                 const PredictedParams& p);
 
 }  // namespace ota::lut

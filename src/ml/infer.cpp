@@ -15,11 +15,14 @@ using nlp::TokenId;
 using nlp::Vocabulary;
 
 // Every loop in this file replicates the accumulation order of the reference
-// Var ops (ml/ops.cpp) and of the NN GEMM kernel (ml/tensor.cpp) — including
-// its skip of zero left-hand values — so that the engine's floating-point
-// results are bit-identical to the autograd path's.  Do not "clean up" loop
-// orders or hoist terms here without re-running the bit-identity properties
-// in tests/test_infer.cpp.
+// Var ops (ml/ops.cpp) and of the NN GEMM kernel (ml/tensor.cpp) — each
+// output summed over ascending p — so that the engine's floating-point
+// results are bit-identical to the autograd path's.  The row kernels skip
+// zero left-hand values, which the GEMM kernel does not; the skip cannot
+// change a finite sum, because an accumulator that starts at +0 never
+// becomes -0 and adding a signed zero leaves any other value as it is.  Do
+// not "clean up" loop orders or hoist terms here without re-running the
+// bit-identity properties in tests/test_infer.cpp.
 //
 // The row kernels are templated on the scalar/tensor type so the float32
 // serving tier runs the exact same loop structure over its narrowed weight
@@ -67,18 +70,45 @@ inline float dot_row(const float* a, const float* b, int64_t n) {
   return (s0 + s1) + (s2 + s3);
 }
 
-/// out = x * W for one row x (length k), matching the NN GEMM kernel:
-/// p-outer / j-inner accumulation with the av == 0 skip.
-template <typename TT, typename T = typename TT::value_type>
-void project_row(const T* x, const TT& w, T* out) {
-  const int64_t k = w.rows(), n = w.cols();
-  std::fill(out, out + n, T(0));
+/// Outputs of project_row kept in registers across one sweep of the input.
+constexpr int64_t kProjectBlock = 16;
+
+/// Sums x[p] * w[p][j] over ascending p into acc[0..width) for the `width`
+/// outputs starting at column j0, skipping zero x[p].
+template <int64_t kWidth, typename T>
+void project_block(const T* x, const T* w, int64_t k, int64_t n, int64_t j0,
+                   int64_t width, T* acc) {
   for (int64_t p = 0; p < k; ++p) {
     const T xv = x[p];
     if (xv == T(0)) continue;
-    const T* wrow = w.data().data() + p * n;
+    const T* wrow = w + p * n + j0;
+    if constexpr (kWidth > 0) {
 #pragma omp simd
-    for (int64_t j = 0; j < n; ++j) out[j] += xv * wrow[j];
+      for (int64_t j = 0; j < kWidth; ++j) acc[j] += xv * wrow[j];
+    } else {
+      for (int64_t j = 0; j < width; ++j) acc[j] += xv * wrow[j];
+    }
+  }
+}
+
+/// out = x * W for one row x (length k), each output summed over ascending p
+/// as in the NN GEMM kernel.  Blocks of kProjectBlock outputs stay in
+/// registers for the whole p sweep, so W streams through once and `out` is
+/// written once; the last n % kProjectBlock outputs form a narrower block.
+template <typename TT, typename T = typename TT::value_type>
+void project_row(const T* x, const TT& w, T* out) {
+  const int64_t k = w.rows(), n = w.cols();
+  const T* wd = w.data().data();
+  int64_t j0 = 0;
+  for (; j0 + kProjectBlock <= n; j0 += kProjectBlock) {
+    T acc[kProjectBlock] = {};
+    project_block<kProjectBlock>(x, wd, k, n, j0, kProjectBlock, acc);
+    std::copy(acc, acc + kProjectBlock, out + j0);
+  }
+  if (j0 < n) {
+    T acc[kProjectBlock] = {};
+    project_block<0>(x, wd, k, n, j0, n - j0, acc);
+    std::copy(acc, acc + (n - j0), out + j0);
   }
 }
 
@@ -141,7 +171,7 @@ void attend_row(const T* q, const T* keys, const T* values, int64_t lk,
     softmax_row(scores.data(), lk);
     for (int64_t p = 0; p < lk; ++p) {
       const T a = scores[static_cast<size_t>(p)];
-      if (a == T(0)) continue;  // the NN kernel's zero skip
+      if (a == T(0)) continue;  // exact: see the zero skip note above
       const T* vrow = values + p * d_model + ho;
 #pragma omp simd
       for (int64_t c = 0; c < d_head; ++c) ctx[ho + c] += a * vrow[c];

@@ -293,6 +293,66 @@ TEST(InferenceEngine, SessionLogitsMatchPinnedReference) {
   EXPECT_EQ(hash_tier(Precision::kFloat32), 0x2edc21f899f1c6c2ull);
 }
 
+TEST(InferenceEngine, RaggedShapesMatchReferenceInBothTiers) {
+  // The tiny config's widths (vocab 10, d_model 16, d_ff 32) never run a
+  // full block of row-kernel outputs followed by a partial one.  d_model 24
+  // over 3 heads, d_ff 40 and vocab 37 do, in every projection.  The double
+  // tier must reproduce the reference decoder's logits bit for bit at every
+  // step, and both tiers must emit the reference's greedy tokens; the f32
+  // logits are pinned by a hash captured before the row kernel was tiled.
+  TransformerConfig cfg = tiny_config(31);
+  cfg.vocab_size = 37;
+  cfg.d_model = 24;
+  cfg.n_heads = 3;
+  cfg.d_ff = 40;
+  Transformer model(cfg);
+  AdamOptions aopt;
+  aopt.lr = 3e-3;
+  Adam adam(model.parameters(), aopt);
+  Rng rng(31);
+  const std::vector<std::vector<TokenId>> seqs{
+      {4, 17, 29, 36}, {36, 29, 17, 4}, {10, 22, 5, 33}, {33, 5, 22, 10}};
+  const std::vector<double> weights(5, 1.0);
+  for (int epoch = 0; epoch < 60; ++epoch) {
+    for (const auto& s : seqs) {
+      const Var l = model.loss(s, s, weights, rng);
+      backward(l);
+      adam.step();
+    }
+  }
+  const InferenceEngine engine(model);
+
+  for (const auto& src : seqs) {
+    const Var memory = model.encode(src, /*training=*/false, rng);
+    InferenceEngine::Session session(engine, src);
+    std::vector<TokenId> prefix{Vocabulary::kBos};
+    for (int step = 0; step < 6; ++step) {
+      const Tensor& got = session.step(prefix.back());
+      const Var full = model.decode(memory, prefix, /*training=*/false, rng);
+      const double* want = &full->value(full->value.rows() - 1, 0);
+      ASSERT_EQ(got.cols(), cfg.vocab_size);
+      ASSERT_EQ(std::memcmp(got.data().data(), want, sizeof(double) * 37), 0)
+          << "step " << step;
+      prefix.push_back(argmax_token(got));
+    }
+    for (Precision p : {Precision::kDouble, Precision::kFloat32}) {
+      EXPECT_EQ(engine.greedy_decode(src, 8, p), model.greedy_decode(src, 8));
+    }
+  }
+
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (const auto& src : seqs) {
+    InferenceEngine::Session session(engine, src, Precision::kFloat32);
+    TokenId prev = Vocabulary::kBos;
+    for (int step = 0; step < 6; ++step) {
+      const Tensor& logits = session.step(prev);
+      h = fnv1a(h, logits);
+      prev = argmax_token(logits);
+    }
+  }
+  EXPECT_EQ(h, 0xfaabf9b9b53fc630ull);
+}
+
 TEST(InferenceEngine, ForgedPrecisionIsRefused) {
   // An out-of-range Precision (static_cast from a config knob) must be
   // refused at the door — session construction and the batch entry point —

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <new>
 
 #include "common/error.hpp"
@@ -124,6 +125,64 @@ TEST_F(LutTest, LookupsAreAllocationFree) {
   EXPECT_NEAR(scan->width, 4e-6, 4e-6 * 0.05);
 }
 
+TEST_F(LutTest, ScanColumnLookupsEqualDirectLookups) {
+  // A lookup on a precomputed scan column must be the very bits of the
+  // direct lookup at that Vds: on and between Vgs knots and clamped outside
+  // the window, for both polarities.
+  for (const DeviceLut* l : {&lut, &plut}) {
+    ASSERT_EQ(l->scan_vds().size(), 121u);
+    EXPECT_EQ(l->scan_vds().front(), l->vds_axis().front());
+    EXPECT_EQ(l->scan_vds().back(), l->vds_axis().back());
+    std::vector<double> vgs = l->vgs_axis();
+    for (double v : {-0.3, -1e-12, 0.013, 0.47, 0.6001, 1.19, 1.2 + 1e-12, 1.7}) {
+      vgs.push_back(v);
+    }
+    for (size_t k = 0; k < l->scan_vds().size(); ++k) {
+      for (double v : vgs) {
+        const LutEntry want = l->lookup(v, l->scan_vds()[k]);
+        const LutEntry got = l->lookup_scan(v, k);
+        ASSERT_EQ(std::memcmp(&want, &got, sizeof(LutEntry)), 0)
+            << "vgs " << v << " scan point " << k;
+      }
+    }
+    EXPECT_THROW((void)l->lookup_scan(0.5, l->scan_vds().size()), ota::InvalidArgument);
+  }
+}
+
+TEST_F(LutTest, WidthEstimatesMatchPinnedReference) {
+  // Hexfloats captured before the scan read precomputed columns; any change
+  // to the spline arithmetic or the scan grid moves them.
+  const auto params = [&](const device::MosModel& m, double vgs, double vds, double w) {
+    const auto ss = m.evaluate(vgs, vds, w, 180e-9);
+    PredictedParams p;
+    p.gm = ss.gm;
+    p.gds = ss.gds;
+    p.cds = ss.cds;
+    p.cgs = ss.cgs;
+    p.id = ss.id;
+    return p;
+  };
+  const auto expect_bits = [](const std::optional<WidthEstimate>& e, double width,
+                              double vgs, double vds) {
+    ASSERT_TRUE(e.has_value());
+    EXPECT_EQ(e->width, width);
+    EXPECT_EQ(e->vgs, vgs);
+    EXPECT_EQ(e->vds, vds);
+  };
+  expect_bits(estimate_width(lut, params(nmos, 0.55, 0.6, 4e-6), tech.vdd),
+              0x1.0c6f1d9a617b3p-18, 0x1.1999b7259999ap-1, 0x1.3333333333333p-1);
+  expect_bits(estimate_width(plut, params(pmos, 0.7, 0.5, 10e-6), tech.vdd),
+              0x1.4f8a485214593p-17, 0x1.666717b266668p-1, 0x1p-1);
+  PredictedParams no_id = params(nmos, 0.55, 0.6, 4e-6);
+  no_id.id.reset();
+  expect_bits(estimate_width_scan(lut, no_id), 0x1.0e10061074b3bp-18,
+              0x1.1851eb851eb83p-1, 0x1.3851eb851eb85p-1);
+  PredictedParams no_gm = params(pmos, 0.7, 0.5, 10e-6);
+  no_gm.gm.reset();
+  expect_bits(estimate_width_scan(plut, no_gm), 0x1.545cc6bebe411p-17,
+              0x1.651eb851eb84fp-1, 0x1.051eb851eb852p-1);
+}
+
 TEST_F(LutTest, InterpolationAccuracyOffGrid) {
   // Paper claim: coarse grid + cubic splines gives accurate intermediate
   // values.  Check against the analytic model at off-grid points in the
@@ -201,6 +260,16 @@ TEST_F(LutTest, BadOptionsThrow) {
   inverted.v_min = 1.0;
   inverted.v_max = 0.0;
   EXPECT_THROW((void)DeviceLut(nmos, inverted), ota::InvalidArgument);
+  // One scan point would divide 0 by 0 and scan a NaN Vds.
+  for (int points : {1, 0, -4}) {
+    LutOptions sparse;
+    sparse.vds_scan_points = points;
+    EXPECT_THROW((void)DeviceLut(nmos, sparse), ota::InvalidArgument) << points;
+  }
+  LutOptions two;
+  two.vds_scan_points = 2;
+  const DeviceLut coarse(nmos, two);
+  EXPECT_EQ(coarse.scan_vds(), (std::vector<double>{0.0, 1.2}));
 }
 
 class LutGmIdSweep : public ::testing::TestWithParam<double> {};

@@ -291,6 +291,40 @@ TEST(SplineOracle, BicubicMatchesReferenceBitwise) {
   }
 }
 
+TEST(SplineOracle, ColumnsMatchReferenceBitwise) {
+  // A column built once at qy answers every qx with the reference's bits,
+  // whichever segment the query falls in.
+  Rng rng(31);
+  for (size_t nx : {2u, 3u, 21u}) {
+    for (size_t ny : {2u, 3u, 21u}) {
+      const auto x = random_knots(rng, nx);
+      const auto y = random_knots(rng, ny);
+      std::vector<MatrixD> channels(2, MatrixD(nx, ny));
+      for (auto& z : channels) {
+        for (size_t i = 0; i < nx; ++i) {
+          for (size_t j = 0; j < ny; ++j) z(i, j) = rng.normal(0.0, 1.0);
+        }
+      }
+      const BicubicSpline s(x, y, channels);
+      ASSERT_EQ(s.column_size(), 2 * nx * 2);
+      double out[2];
+      for (double qy : probe_points(rng, y)) {
+        const auto view = s.column(qy);
+        const std::vector<double> column(view.begin(), view.end());
+        for (double qx : probe_points(rng, x)) {
+          s.evaluate_column(column, qx, out);
+          for (size_t c = 0; c < 2; ++c) {
+            ASSERT_TRUE(same_bits(out[c], reference_bicubic(x, y, channels[c], qx, qy)))
+                << "nx=" << nx << " ny=" << ny << " (" << qx << ", " << qy << ")";
+          }
+        }
+      }
+      const std::vector<double> short_column(s.column_size() - 1);
+      EXPECT_THROW(s.evaluate_column(short_column, x.front(), out), InvalidArgument);
+    }
+  }
+}
+
 TEST(SplineOracle, EveryChannelMatchesReferenceBitwise) {
   // A multi-channel spline evaluates each channel exactly as a lone
   // single-channel spline over the same axes would.
