@@ -1,6 +1,6 @@
 // Cooperative cancellation context, shared by every layer that can stop a
 // request early: the campaign server's jobs, the copilot's stage boundaries,
-// the Stage-II prediction clients and the decode scheduler's requests.
+// the Stage-II predictors and the decode scheduler's requests.
 #pragma once
 
 #include <atomic>

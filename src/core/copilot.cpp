@@ -79,20 +79,13 @@ bool SizingCopilot::meets(const Specs& achieved, const Specs& target,
 
 SizingOutcome SizingCopilot::size(const Specs& target,
                                   const CopilotOptions& opt) {
-  SerialPredictionClient serial(model_);
-  return size(target, opt, serial);
-}
-
-SizingOutcome SizingCopilot::size(const Specs& target,
-                                  const CopilotOptions& opt,
-                                  PredictionClient& stage2) {
   const auto t0 = std::chrono::steady_clock::now();
   // opt.cancel is the one cancellation context for the whole campaign:
   // checked at every stage boundary below, and handed to each Stage-II
-  // submit so a scheduler-backed decode can retire from its dynamic batch
-  // mid-round.  Throwing Cancelled (rather than returning a partial outcome)
-  // keeps the contract simple: a cancelled campaign has no result, and its
-  // owner resolves it exactly once.
+  // prediction so a scheduler-backed decode can retire from its dynamic
+  // batch mid-round.  Throwing Cancelled (rather than returning a partial
+  // outcome) keeps the contract simple: a cancelled campaign has no result,
+  // and its owner resolves it exactly once.
   SizingOutcome out;
   out.target = target;
 
@@ -117,9 +110,9 @@ SizingOutcome SizingCopilot::size(const Specs& target,
     if (it < opt.prediction_iterations || best_widths.empty()) {
       // Stage II: predict device parameters for the requested specs.  The
       // refinement loop is sequential (each request depends on the previous
-      // verification), so from this campaign's view it is submit-then-wait;
-      // under a server the submit lands in the shared continuous-batching
-      // scheduler where it coalesces with other campaigns' decodes.
+      // verification), so one blocking call per iteration; under a server
+      // it lands in the shared continuous-batching scheduler, where it
+      // coalesces with other campaigns' decodes.
       //
       // Injectable transient failure: unlike a Stage-IV ConvergenceError
       // (absorbed below as a hard miss), one thrown here escapes size() —
@@ -128,11 +121,8 @@ SizingOutcome SizingCopilot::size(const Specs& target,
       std::string predicted_text;
       {
         STAT_REGION("core.copilot.stage2_predict");
-        predicted_text =
-            stage2
-                .submit(builder_.encoder_text(request), opt.max_decode_tokens,
-                        opt.cancel)
-                ->wait();
+        predicted_text = model_.predict(builder_.encoder_text(request),
+                                        opt.max_decode_tokens, opt.cancel);
       }
       out.predicted = builder_.parse_decoder(predicted_text);
       // Stage III: parameters -> widths via the LUTs.

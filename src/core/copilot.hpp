@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "common/cancel.hpp"
-#include "core/prediction_client.hpp"
 #include "core/predictor.hpp"
 #include "core/sequence_builder.hpp"
 #include "lut/width_estimator.hpp"
@@ -86,17 +85,13 @@ class SizingCopilot {
                 const LutSet& luts);
 
   /// Sizes the OTA for `target` (specs are treated as minimum requirements).
-  /// Stage-II predictions run through the serial reference client (an
-  /// inline batch of one on the calling thread — the bit-identity baseline).
+  /// Each Stage-II prediction is one `model.predict` call on this thread.
+  /// Under a campaign server the model is the topology's
+  /// serve::ScheduledPredictor, so concurrent campaigns' decodes coalesce on
+  /// one engine; the outcome (everything except the wall-clock `seconds`) is
+  /// bit-identical to the serial SizingModel for any scheduler/batch
+  /// configuration.
   SizingOutcome size(const Specs& target, const CopilotOptions& opt = {});
-
-  /// As above, with Stage-II predictions submitted through `stage2` —
-  /// under a campaign server this is the continuous-batching scheduler
-  /// client, so concurrent campaigns' decodes coalesce on one engine.  The
-  /// outcome (everything except the wall-clock `seconds`) is bit-identical
-  /// to the serial overload for any scheduler/batch configuration.
-  SizingOutcome size(const Specs& target, const CopilotOptions& opt,
-                     PredictionClient& stage2);
 
  private:
   bool meets(const Specs& achieved, const Specs& target,

@@ -19,8 +19,10 @@ class NearestNeighborPredictor : public Predictor {
   NearestNeighborPredictor(const SequenceBuilder& builder,
                            std::vector<Design> designs);
 
-  std::string predict(const std::string& encoder_text,
-                      int max_tokens) const override;
+  /// A lookup, so it finishes before any cancel could matter; `cancel` is
+  /// ignored.
+  std::string predict(const std::string& encoder_text, int max_tokens,
+                      const CancelSignal& cancel) const override;
 
   /// The training design closest to the given specs.
   const Design& nearest(const Specs& specs) const;

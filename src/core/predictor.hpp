@@ -2,22 +2,27 @@
 // decoder sequence.  The transformer (SizingModel) is the paper's instance;
 // NearestNeighborPredictor is a non-learned reference used by tests and the
 // ablation benchmarks (how much does the transformer beat a lookup of the
-// closest training design?).
+// closest training design?); serve::ScheduledPredictor routes each call
+// through a campaign server's shared decode scheduler.
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "ml/precision.hpp"
+#include "common/cancel.hpp"
 
 namespace ota::core {
 
 class Predictor {
  public:
   virtual ~Predictor() = default;
-  /// Decoder-sequence prediction for an encoder sequence.
-  virtual std::string predict(const std::string& encoder_text,
-                              int max_tokens) const = 0;
+  /// Decoder-sequence prediction for an encoder sequence.  `cancel` is a
+  /// cooperative signal honoured at the implementation's natural
+  /// granularity: the serial model checks it before decoding, the
+  /// scheduler-backed predictor retires an in-flight decode mid-round.  A
+  /// cancelled prediction throws ota::Cancelled.
+  virtual std::string predict(const std::string& encoder_text, int max_tokens,
+                              const CancelSignal& cancel) const = 0;
 
   /// Predictions for many encoder sequences, positionally aligned with the
   /// input.  The default is a serial loop over predict(); implementations
@@ -32,23 +37,9 @@ class Predictor {
     std::vector<std::string> out;
     out.reserve(encoder_texts.size());
     for (const std::string& text : encoder_texts) {
-      out.push_back(predict(text, max_tokens));
+      out.push_back(predict(text, max_tokens, CancelSignal{}));
     }
     return out;
-  }
-
-  /// Tier-selecting batch prediction.  Predictors with a numeric fast path
-  /// (SizingModel's float32 inference tier) override this; everything else —
-  /// notably the non-learned reference predictors, which have no floating
-  /// tiers at all — computes the one answer it has and ignores the knob.
-  /// Contract for overrides: ml::Precision::kDouble must stay bit-identical
-  /// to the 3-arg overload, and kFloat32 output must be deterministic for
-  /// any `threads` value.
-  virtual std::vector<std::string> predict_batch(
-      const std::vector<std::string>& encoder_texts, int max_tokens,
-      int threads, ml::Precision precision) const {
-    ml::validated_precision(precision, "Predictor::predict_batch");
-    return predict_batch(encoder_texts, max_tokens, threads);
   }
 };
 

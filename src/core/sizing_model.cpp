@@ -168,8 +168,17 @@ TrainHistory SizingModel::train(
 }
 
 std::string SizingModel::predict(const std::string& encoder_text,
-                                 int max_tokens) const {
+                                 int max_tokens,
+                                 const CancelSignal& cancel) const {
   if (!engine_) throw InvalidArgument("SizingModel::predict: not trained");
+  if (max_tokens <= 0) {
+    throw InvalidArgument(
+        "SizingModel::predict: max_tokens must be positive, got " +
+        std::to_string(max_tokens) +
+        " (a zero token budget would silently decode nothing)");
+  }
+  // The decode runs inline, so this is the only cancellation point.
+  cancel.check("SizingModel::predict");
   const auto src = tokenizer_.encode(encoder_text);
   const auto out = engine_->greedy_decode(src, max_tokens);
   return tokenizer_.decode(out);
@@ -178,14 +187,6 @@ std::string SizingModel::predict(const std::string& encoder_text,
 std::vector<std::string> SizingModel::predict_batch(
     const std::vector<std::string>& encoder_texts, int max_tokens,
     int threads) const {
-  return predict_batch(encoder_texts, max_tokens, threads,
-                       ml::Precision::kDouble);
-}
-
-std::vector<std::string> SizingModel::predict_batch(
-    const std::vector<std::string>& encoder_texts, int max_tokens,
-    int threads, ml::Precision precision) const {
-  ml::validated_precision(precision, "SizingModel::predict_batch");
   // An empty batch has exactly one correct answer and needs no model for it;
   // returning it up front keeps degenerate sweeps (0 validation designs, a
   // drained campaign queue) from tripping over engine state.
@@ -196,8 +197,7 @@ std::vector<std::string> SizingModel::predict_batch(
   for (const std::string& text : encoder_texts) {
     srcs.push_back(tokenizer_.encode(text));
   }
-  const auto decoded =
-      engine_->greedy_decode_batch(srcs, max_tokens, threads, precision);
+  const auto decoded = engine_->greedy_decode_batch(srcs, max_tokens, threads);
   std::vector<std::string> out;
   out.reserve(decoded.size());
   for (const auto& tokens : decoded) out.push_back(tokenizer_.decode(tokens));

@@ -61,21 +61,16 @@ class SizingModel : public Predictor {
   /// Greedy prediction of the decoder text for an encoder text.  Decodes
   /// through the compiled inference engine (KV cache, no autograd graph);
   /// output is bit-identical to the Var-based Transformer::greedy_decode.
-  std::string predict(const std::string& encoder_text,
-                      int max_tokens = 800) const override;
+  /// Checks `cancel` once before decoding; throws InvalidArgument when
+  /// max_tokens <= 0, like predict_batch.
+  std::string predict(const std::string& encoder_text, int max_tokens,
+                      const CancelSignal& cancel) const override;
 
   /// Batched greedy prediction: all requests decode concurrently through the
   /// engine (bit-identical for any thread count, including the serial loop).
   std::vector<std::string> predict_batch(
       const std::vector<std::string>& encoder_texts, int max_tokens = 800,
       int threads = 0) const override;
-
-  /// Tier-selecting overload: kDouble is the bit-identity path above;
-  /// kFloat32 decodes through the engine's float32 snapshot (deterministic
-  /// for any thread count, agreement-gated against the double tier).
-  std::vector<std::string> predict_batch(
-      const std::vector<std::string>& encoder_texts, int max_tokens,
-      int threads, ml::Precision precision) const override;
 
   bool trained() const { return model_ != nullptr && engine_ != nullptr; }
   const nlp::BpeTokenizer& tokenizer() const;

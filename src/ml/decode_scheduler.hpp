@@ -41,6 +41,10 @@
 #include "common/one_shot.hpp"
 #include "ml/infer.hpp"
 
+namespace ota::par {
+class ThreadPool;
+}
+
 namespace ota::ml {
 
 class DecodeScheduler {

@@ -513,7 +513,7 @@ std::vector<TokenId> InferenceEngine::greedy_decode(
 
 std::vector<std::vector<TokenId>> InferenceEngine::greedy_decode_batch(
     const std::vector<std::vector<TokenId>>& srcs, int64_t max_len,
-    par::ThreadPool& pool, Precision precision) const {
+    int threads, Precision precision) const {
   std::vector<std::vector<TokenId>> out(srcs.size());
   if (srcs.empty()) return out;
   if (max_len <= 0) {
@@ -525,27 +525,24 @@ std::vector<std::vector<TokenId>> InferenceEngine::greedy_decode_batch(
   validated_precision(precision, "InferenceEngine::greedy_decode_batch");
   // Requests are independent and share only the immutable engine, so the
   // result is bit-identical for any pool size.
-  pool.parallel_for(srcs.size(), [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      out[i] = greedy_decode(srcs[i], max_len, precision);
-    }
-  });
-  return out;
-}
-
-std::vector<std::vector<TokenId>> InferenceEngine::greedy_decode_batch(
-    const std::vector<std::vector<TokenId>>& srcs, int64_t max_len,
-    int threads, Precision precision) const {
+  const auto decode_all = [&](par::ThreadPool& pool) {
+    pool.parallel_for(srcs.size(), [&](size_t begin, size_t end) {
+      for (size_t i = begin; i < end; ++i) {
+        out[i] = greedy_decode(srcs[i], max_len, precision);
+      }
+    });
+  };
   if (threads <= 0) {
     // Default path: the persistent process-wide pool, so back-to-back batch
     // calls reuse one set of workers instead of spawning a pool per call.
-    return greedy_decode_batch(srcs, max_len, par::global_pool(), precision);
+    decode_all(par::global_pool());
+  } else {
+    // Explicit worker count: a dedicated pool of that size, never larger
+    // than the batch (a batch of one stays inline).
+    par::ThreadPool pool(std::min(threads, static_cast<int>(srcs.size())));
+    decode_all(pool);
   }
-  // Explicit worker count: a dedicated pool of that size, never larger than
-  // the batch (a batch of one stays inline).
-  par::ThreadPool pool(
-      std::min(threads, static_cast<int>(std::max<size_t>(srcs.size(), 1))));
-  return greedy_decode_batch(srcs, max_len, pool, precision);
+  return out;
 }
 
 }  // namespace ota::ml

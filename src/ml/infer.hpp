@@ -38,10 +38,6 @@
 #include "ml/precision.hpp"
 #include "ml/transformer.hpp"
 
-namespace ota::par {
-class ThreadPool;
-}
-
 namespace ota::ml {
 
 /// One attention site in the trained layout: column block
@@ -120,12 +116,6 @@ class InferenceEngine {
   std::vector<std::vector<nlp::TokenId>> greedy_decode_batch(
       const std::vector<std::vector<nlp::TokenId>>& srcs, int64_t max_len,
       int threads = 0, Precision precision = Precision::kDouble) const;
-
-  /// As above, on a caller-owned pool (shared-pool call sites and tests).
-  std::vector<std::vector<nlp::TokenId>> greedy_decode_batch(
-      const std::vector<std::vector<nlp::TokenId>>& srcs, int64_t max_len,
-      par::ThreadPool& pool,
-      Precision precision = Precision::kDouble) const;
 
   /// Incremental decoding state for one request: the encoder memory, the
   /// precomputed cross-attention K/V of every decoder layer, and the growing

@@ -8,10 +8,9 @@
 // token-level agreement with the reference (bench_infer_tier hard-fails on any
 // divergence on trained models, rather than silently degrading results).
 //
-// The tier is a runtime knob threaded through the whole serving stack:
-// InferenceEngine decode calls -> ml::DecodeScheduler::Options ->
-// core::Predictor::predict_batch / core::SerialPredictionClient ->
-// serve::CampaignServer::Options and per-register_topology overrides.
+// The tier is a runtime knob of the decode path: InferenceEngine decode
+// calls -> ml::DecodeScheduler::Options -> serve::CampaignServer::Options.
+// core::SizingModel's predict and predict_batch decode at the double tier.
 #pragma once
 
 #include "common/error.hpp"

@@ -50,37 +50,20 @@ std::string layer_of(const std::string& site) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// ScheduledPredictionClient
+// ScheduledPredictor
 
-std::unique_ptr<core::PredictionClient::Handle> ScheduledPredictionClient::submit(
-    const std::string& encoder_text, int max_tokens,
-    const CancelSignal& cancel) {
-  class TicketHandle : public Handle {
-   public:
-    TicketHandle(const core::SizingModel& model,
-                 std::shared_ptr<ml::DecodeScheduler::Ticket> ticket)
-        : model_(model), ticket_(std::move(ticket)) {}
-
-    std::string wait() override {
-      // Ticket::wait rethrows the request's error (ota::Cancelled when the
-      // campaign was cancelled, its deadline passed, or the scheduler shut
-      // down drainless); the campaign worker surfaces it as Cancelled.
-      return model_.tokenizer().decode(ticket_->wait());
-    }
-
-   private:
-    const core::SizingModel& model_;
-    std::shared_ptr<ml::DecodeScheduler::Ticket> ticket_;
-  };
-
+std::string ScheduledPredictor::predict(const std::string& encoder_text,
+                                        int max_tokens,
+                                        const CancelSignal& cancel) const {
   // The campaign's cancel signal rides into the scheduler, so a cancelled
   // campaign's live decode retires from the dynamic batch at the next round
-  // instead of decoding to completion.  Same tokenizer both ways as the
-  // serial path's predict_batch, so the round-tripped text is bit-identical
-  // to the reference client's.
-  return std::make_unique<TicketHandle>(
-      model_, scheduler_.submit(model_.tokenizer().encode(encoder_text),
-                                static_cast<int64_t>(max_tokens), cancel));
+  // instead of decoding to completion; the ticket's wait() rethrows that as
+  // ota::Cancelled.  Same tokenizer both ways as SizingModel::predict, so
+  // the round-tripped text is bit-identical to the serial model's.
+  const auto ticket =
+      scheduler_.submit(model_.tokenizer().encode(encoder_text),
+                        static_cast<int64_t>(max_tokens), cancel);
+  return model_.tokenizer().decode(ticket->wait());
 }
 
 // ---------------------------------------------------------------------------
@@ -137,16 +120,10 @@ void CampaignServer::register_topology(
     const std::string& name, circuit::Topology topology,
     const device::Technology& tech,
     std::shared_ptr<const core::SizingModel> model,
-    std::shared_ptr<const core::LutSet> luts,
-    std::optional<ml::Precision> precision) {
+    std::shared_ptr<const core::LutSet> luts) {
   if (!model || !luts) {
     throw InvalidArgument("CampaignServer::register_topology: null model/luts");
   }
-  // Resolve and validate the tier before reserving the name: a forged
-  // precision override must not leave a dangling reservation behind.
-  const ml::Precision tier = ml::validated_precision(
-      precision.value_or(opt_.decode_precision),
-      "CampaignServer::register_topology");
   // engine() doubles as the trained-model check (throws InvalidArgument
   // otherwise) and is what the decode scheduler batches on.
   const ml::InferenceEngine& engine = model->engine();
@@ -180,9 +157,9 @@ void CampaignServer::register_topology(
         std::make_unique<core::SequenceBuilder>(entry->topology, entry->tech);
     ml::DecodeScheduler::Options sopt;
     sopt.max_batch = opt_.max_decode_batch;
-    sopt.precision = tier;
+    sopt.precision = opt_.decode_precision;
     entry->scheduler = std::make_unique<ml::DecodeScheduler>(engine, sopt);
-    entry->client = std::make_unique<ScheduledPredictionClient>(
+    entry->predictor = std::make_unique<ScheduledPredictor>(
         *entry->model, *entry->scheduler);
   } catch (...) {
     // Release the reservation: the name was never visible as a valid
@@ -335,9 +312,8 @@ void CampaignServer::worker_loop() {
       // the entry), and private mutable state is what makes the result
       // independent of which worker runs it.
       core::SizingCopilot copilot(entry->topology, entry->tech, *entry->builder,
-                                  *entry->model, *entry->luts);
-      res.outcome = copilot.size(job->request.target, job->request.options,
-                                 *entry->client);
+                                  *entry->predictor, *entry->luts);
+      res.outcome = copilot.size(job->request.target, job->request.options);
       res.status = CampaignStatus::Served;
     } catch (const Cancelled& e) {
       res.status = CampaignStatus::Cancelled;

@@ -7,14 +7,15 @@
 // ml::DecodeScheduler over that engine.  Clients submit() campaign requests
 // from any thread and block on a Job handle; a fixed set of worker threads
 // drains the FIFO job queue, running each campaign's Stage I-IV refinement
-// loop on a fresh copilot.  The Stage-II predictions of every live campaign
-// flow through the topology's shared scheduler, where they coalesce into
-// dynamic decode batches on the one engine — the LLM-serving architecture,
-// with SPICE verification taking the place of the client's "think time".
+// loop on a fresh copilot over the topology's ScheduledPredictor.  The
+// Stage-II predictions of every live campaign flow through the topology's
+// shared scheduler, where they coalesce into dynamic decode batches on the
+// one engine — the LLM-serving architecture, with SPICE verification taking
+// the place of the client's "think time".
 //
 // Determinism contract: a campaign's SizingOutcome (everything except the
-// wall-clock `seconds`) is bit-identical to running the serial
-// SizingCopilot::size on the same request — for any worker count, arrival
+// wall-clock `seconds`) is bit-identical to running SizingCopilot::size over
+// the serial SizingModel on the same request — for any worker count, arrival
 // order, or decode batch composition.  Each campaign runs on its own copilot
 // copy and its decodes run in private scheduler sessions, so concurrency
 // changes only WHEN work happens, never WHAT is computed.
@@ -48,7 +49,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -60,21 +60,19 @@
 
 namespace ota::serve {
 
-/// Stage-II client backed by a topology's shared DecodeScheduler: submit
-/// tokenizes and enqueues; wait blocks on the scheduler ticket and
-/// detokenizes.  Many campaigns share one instance concurrently.
-class ScheduledPredictionClient : public core::PredictionClient {
+/// Stage-II predictor backed by a topology's shared DecodeScheduler: predict
+/// tokenizes, submits to the scheduler, waits on the ticket and detokenizes.
+/// Many campaigns' copilots share one instance concurrently.
+class ScheduledPredictor : public core::Predictor {
  public:
-  /// Both references must outlive the client; `scheduler` must run over
+  /// Both references must outlive the predictor; `scheduler` must run over
   /// `model.engine()`.
-  ScheduledPredictionClient(const core::SizingModel& model,
-                            ml::DecodeScheduler& scheduler)
+  ScheduledPredictor(const core::SizingModel& model,
+                     ml::DecodeScheduler& scheduler)
       : model_(model), scheduler_(scheduler) {}
 
-  using core::PredictionClient::submit;
-  std::unique_ptr<Handle> submit(const std::string& encoder_text,
-                                 int max_tokens,
-                                 const CancelSignal& cancel) override;
+  std::string predict(const std::string& encoder_text, int max_tokens,
+                      const CancelSignal& cancel) const override;
 
  private:
   const core::SizingModel& model_;
@@ -143,10 +141,9 @@ class CampaignServer {
     /// Block policy only: longest submit() waits for queue space before
     /// throwing ota::ServerOverloaded.  <= 0 = wait indefinitely.
     double block_timeout_seconds = 0.0;
-    /// Default numeric tier every topology's decode scheduler runs at
+    /// Numeric tier every topology's decode scheduler runs at
     /// (ml::Precision::kDouble = the bit-identity reference, kFloat32 = the
-    /// agreement-gated SIMD serving tier).  register_topology can override
-    /// it per topology.  Validated at construction.
+    /// agreement-gated SIMD serving tier).  Validated at construction.
     ml::Precision decode_precision = ml::Precision::kDouble;
     /// Bounded retry for transient failures: a campaign that throws
     /// ConvergenceError re-enters the back of the job queue (deterministic
@@ -171,18 +168,13 @@ class CampaignServer {
   /// Registers `model` (trained) under `name` and stands up its decode
   /// scheduler.  The server keeps its own Topology/Technology copies, so
   /// the caller's may go out of scope; `model` and `luts` are shared.
-  /// Throws InvalidArgument for an untrained model, a duplicate name, an
-  /// invalid precision override, or a shut-down server.  Safe to call while
-  /// campaigns are in flight (new submissions see the topology immediately).
-  /// `precision` overrides Options::decode_precision for this topology's
-  /// scheduler (nullopt = the server-wide default), so a fleet can serve
-  /// float32 traffic while keeping one topology on the double reference
-  /// tier.
+  /// Throws InvalidArgument for an untrained model, a duplicate name, or a
+  /// shut-down server.  Safe to call while campaigns are in flight (new
+  /// submissions see the topology immediately).
   void register_topology(const std::string& name, circuit::Topology topology,
                          const device::Technology& tech,
                          std::shared_ptr<const core::SizingModel> model,
-                         std::shared_ptr<const core::LutSet> luts,
-                         std::optional<ml::Precision> precision = std::nullopt);
+                         std::shared_ptr<const core::LutSet> luts);
 
   /// One submitted campaign.  Resolves exactly once.
   class Job {
@@ -209,7 +201,7 @@ class CampaignServer {
     OneShot<CampaignResult> outcome;
     /// As submitted, except that submit() sets `request.options.cancel` to
     /// the job's one cancellation context: `cancel_flag` plus the effective
-    /// deadline.  It rides through the copilot into the prediction client
+    /// deadline.  It rides through the copilot into the scheduled predictor
     /// and decode scheduler.
     CampaignRequest request;
     std::chrono::steady_clock::time_point submitted_at;
@@ -277,7 +269,7 @@ class CampaignServer {
     std::shared_ptr<const core::LutSet> luts;
     std::unique_ptr<core::SequenceBuilder> builder;
     std::unique_ptr<ml::DecodeScheduler> scheduler;
-    std::unique_ptr<ScheduledPredictionClient> client;
+    std::unique_ptr<ScheduledPredictor> predictor;
   };
 
   void worker_loop();

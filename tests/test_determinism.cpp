@@ -307,7 +307,8 @@ TEST_F(DeterminismTest, TrainingBitIdenticalAcrossThreadCounts) {
   EXPECT_EQ(h1.train_loss, h8.train_loss);
   EXPECT_EQ(h1.val_loss, h8.val_loss);
   expect_same_weights(serial, par8);
-  EXPECT_EQ(serial.predict(pairs[0].first, 40), par8.predict(pairs[0].first, 40));
+  EXPECT_EQ(serial.predict(pairs[0].first, 40, {}),
+            par8.predict(pairs[0].first, 40, {}));
 
   // An odd worker count shards batches differently but must agree too.
   SizingModel par3;

@@ -406,32 +406,9 @@ TEST(SizingModelInfer, PredictBatchBitIdenticalAcrossThreadCounts) {
     texts.push_back("gain=" + std::to_string(41 + i) + " bw=" + std::to_string(12 + i));
   }
   std::vector<std::string> serial;
-  for (const auto& t : texts) serial.push_back(model.predict(t, 64));
+  for (const auto& t : texts) serial.push_back(model.predict(t, 64, {}));
   EXPECT_EQ(model.predict_batch(texts, 64, /*threads=*/1), serial);
   EXPECT_EQ(model.predict_batch(texts, 64, /*threads=*/8), serial);
-}
-
-TEST(SizingModelInfer, PredictBatchPrecisionOverload) {
-  // The 4-arg overload at kDouble IS the 3-arg path (bit-identical); the
-  // kFloat32 tier must be deterministic for any thread count.  Token-level
-  // agreement between the tiers is asserted on well-trained models (the ml
-  // section above, the DeterminismTest serving suite, bench_infer_tier) —
-  // this 2-epoch text model only owes tier determinism.
-  const SizingModel& model = trained_sizing_model();
-  std::vector<std::string> texts;
-  for (int i = 0; i < 4; ++i) {
-    texts.push_back("gain=" + std::to_string(42 + i) +
-                    " bw=" + std::to_string(13 + i));
-  }
-  EXPECT_EQ(model.predict_batch(texts, 64, 1, ml::Precision::kDouble),
-            model.predict_batch(texts, 64, 1));
-  const auto f32_serial =
-      model.predict_batch(texts, 64, 1, ml::Precision::kFloat32);
-  EXPECT_EQ(model.predict_batch(texts, 64, 8, ml::Precision::kFloat32),
-            f32_serial);
-  EXPECT_THROW((void)model.predict_batch(texts, 64, 1,
-                                         static_cast<ml::Precision>(3)),
-               InvalidArgument);
 }
 
 TEST(SizingModelInfer, PredictBatchEmptyInputReturnsEmpty) {
@@ -470,11 +447,11 @@ TEST(SizingModelInfer, SaveLoadRoundTripsV2Format) {
       (std::filesystem::temp_directory_path() / "ota_infer_v2").string();
   model.save(prefix);
   EXPECT_EQ(slurp(prefix + ".model").substr(0, 8), "otasmdl3");
-  const std::string expected = model.predict("gain=43 bw=14", 64);
+  const std::string expected = model.predict("gain=43 bw=14", 64, {});
 
   SizingModel loaded;
   ASSERT_TRUE(loaded.load(prefix));
-  EXPECT_EQ(loaded.predict("gain=43 bw=14", 64), expected);
+  EXPECT_EQ(loaded.predict("gain=43 bw=14", 64, {}), expected);
   EXPECT_EQ(loaded.transformer().config().d_model, 16);
   std::remove((prefix + ".bpe").c_str());
   std::remove((prefix + ".model").c_str());
@@ -579,7 +556,8 @@ TEST(SizingModelInfer, EveryAcceptedDropoutRateReloads) {
     model.save(prefix);
     SizingModel loaded;
     EXPECT_TRUE(loaded.load(prefix)) << rate;
-    EXPECT_EQ(loaded.predict("gain=41", 16), model.predict("gain=41", 16))
+    EXPECT_EQ(loaded.predict("gain=41", 16, {}),
+              model.predict("gain=41", 16, {}))
         << rate;
   }
   std::remove((prefix + ".bpe").c_str());
@@ -588,7 +566,8 @@ TEST(SizingModelInfer, EveryAcceptedDropoutRateReloads) {
     SizingModel model;
     opt.dropout = rate;
     EXPECT_THROW(model.train(pairs, opt), InvalidArgument) << rate;
-    EXPECT_THROW((void)model.predict("gain=41", 16), InvalidArgument) << rate;
+    EXPECT_THROW((void)model.predict("gain=41", 16, {}), InvalidArgument)
+        << rate;
   }
 }
 

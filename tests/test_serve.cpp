@@ -327,29 +327,44 @@ TEST_F(DeterminismTest, SchedulerDoubleTierAttributesTokensToDoubleCounter) {
   EXPECT_EQ(stats.tokens_double, stats.session_steps);
 }
 
+/// The serial float32 reference: SizingModel::predict decodes at the double
+/// tier, so this predictor decodes each request through the engine's float32
+/// tier instead.
+class F32Predictor : public core::Predictor {
+ public:
+  explicit F32Predictor(const core::SizingModel& model) : model_(model) {}
+  std::string predict(const std::string& encoder_text, int max_tokens,
+                      const CancelSignal&) const override {
+    const nlp::BpeTokenizer& tok = model_.tokenizer();
+    return tok.decode(model_.engine().greedy_decode(
+        tok.encode(encoder_text), max_tokens, ml::Precision::kFloat32));
+  }
+
+ private:
+  const core::SizingModel& model_;
+};
+
 TEST_F(DeterminismTest, CampaignServerF32TopologyMatchesF32SerialCopilot) {
-  // A topology registered on the float32 tier must serve campaigns
-  // bit-identical to the serial copilot driven by a float32
-  // SerialPredictionClient — the same WHAT-not-WHEN contract as the double
-  // path, one tier down.  Stats must attribute every decode step to f32.
+  // A server on the float32 tier must serve campaigns bit-identical to the
+  // serial copilot over a float32 predictor — the same WHAT-not-WHEN
+  // contract as the double path, one tier down.  Stats must attribute every
+  // decode step to f32.
   const auto targets = campaign_targets(4);
   const auto opt = campaign_options();
 
   std::vector<core::SizingOutcome> reference;
   {
-    core::SizingCopilot copilot(*topo_, *tech_, *builder_, model(), *luts_);
-    core::SerialPredictionClient f32_client(model(), ml::Precision::kFloat32);
-    for (const auto& t : targets) {
-      reference.push_back(copilot.size(t, opt, f32_client));
-    }
+    const F32Predictor f32(model());
+    core::SizingCopilot copilot(*topo_, *tech_, *builder_, f32, *luts_);
+    for (const auto& t : targets) reference.push_back(copilot.size(t, opt));
   }
 
   CampaignServer::Options sopt;
   sopt.workers = 4;
   sopt.max_decode_batch = 4;
-  CampaignServer server(sopt);  // server default stays double...
-  server.register_topology("5T-OTA", *topo_, *tech_, *model_, luts_,
-                           ml::Precision::kFloat32);  // ...this topology: f32
+  sopt.decode_precision = ml::Precision::kFloat32;
+  CampaignServer server(sopt);
+  server.register_topology("5T-OTA", *topo_, *tech_, *model_, luts_);
 
   std::vector<std::shared_ptr<CampaignServer::Job>> jobs;
   for (const auto& t : targets) jobs.push_back(server.submit({"5T-OTA", t, opt}));
@@ -367,8 +382,8 @@ TEST_F(DeterminismTest, CampaignServerF32TopologyMatchesF32SerialCopilot) {
 
 TEST_F(DeterminismTest, ForgedPrecisionIsRefusedAtEveryDoor) {
   // An out-of-range Precision forged with a static_cast must be refused at
-  // construction/registration, before any thread is spawned — scheduler
-  // options, server options, and the per-topology override alike.
+  // construction, before any thread is spawned — scheduler options and
+  // server options alike.
   const auto forged = static_cast<ml::Precision>(5);
 
   ml::DecodeScheduler::Options dopt;
@@ -378,17 +393,41 @@ TEST_F(DeterminismTest, ForgedPrecisionIsRefusedAtEveryDoor) {
   CampaignServer::Options sopt;
   sopt.decode_precision = forged;
   EXPECT_THROW(CampaignServer{sopt}, InvalidArgument);
+}
 
-  EXPECT_THROW(core::SerialPredictionClient(model(), forged), InvalidArgument);
+TEST_F(DeterminismTest, ZeroTokenBudgetIsRefusedSeriallyAndServed) {
+  // A zero (or negative) decode budget is a caller bug on every Stage-II
+  // path: the serial model refuses it rather than decoding nothing, so a
+  // serial campaign throws and the same campaign served resolves Failed.
+  EXPECT_THROW((void)model().predict("gain=41", 0, {}), InvalidArgument);
+  EXPECT_THROW((void)model().predict("gain=41", -3, {}), InvalidArgument);
 
-  CampaignServer server;
-  EXPECT_THROW(server.register_topology("5T-OTA", *topo_, *tech_, *model_,
-                                        luts_, forged),
-               InvalidArgument);
-  // The failed registration must release its name reservation: the same
-  // name registers cleanly at a valid tier afterwards.
-  server.register_topology("5T-OTA", *topo_, *tech_, *model_, luts_,
-                           ml::Precision::kFloat32);
+  const core::Specs target = campaign_targets(1)[0];
+  auto opt = campaign_options();
+  opt.max_decode_tokens = 0;
+  core::SizingCopilot copilot(*topo_, *tech_, *builder_, model(), *luts_);
+  EXPECT_THROW((void)copilot.size(target, opt), InvalidArgument);
+
+  CampaignServer::Options sopt;
+  sopt.workers = 1;
+  CampaignServer server(sopt);
+  server.register_topology("5T-OTA", *topo_, *tech_, *model_, luts_);
+  const auto job = server.submit({"5T-OTA", target, opt});
+  const CampaignResult& res = job->wait();
+  EXPECT_EQ(res.status, CampaignStatus::Failed);
+  EXPECT_NE(res.error.find("max_tokens must be positive"), std::string::npos)
+      << res.error;
+}
+
+TEST_F(DeterminismTest, SerialPredictHonoursCancelSignal) {
+  // The serial model decodes inline, so it checks the signal once up front:
+  // a cancelled flag or a passed deadline throws before any decode.
+  CancelSignal flagged;
+  flagged.flag = std::make_shared<std::atomic<bool>>(true);
+  EXPECT_THROW((void)model().predict("gain=41", 16, flagged), Cancelled);
+  CancelSignal expired;
+  expired.deadline = CancelSignal::Clock::now() - std::chrono::seconds(1);
+  EXPECT_THROW((void)model().predict("gain=41", 16, expired), Cancelled);
 }
 
 // ---------------------------------------------------------------------------

@@ -196,7 +196,7 @@ TEST_F(PipelineTest, SizingModelTrainsAndPersists) {
   EXPECT_LT(hist.train_loss[1], hist.train_loss[0]);
   EXPECT_TRUE(model.trained());
 
-  const std::string out = model.predict(pairs[0].first, 200);
+  const std::string out = model.predict(pairs[0].first, 200, {});
   EXPECT_FALSE(out.empty());
 
   const std::string prefix =
@@ -204,7 +204,7 @@ TEST_F(PipelineTest, SizingModelTrainsAndPersists) {
   model.save(prefix);
   SizingModel loaded;
   ASSERT_TRUE(loaded.load(prefix));
-  EXPECT_EQ(loaded.predict(pairs[0].first, 200), out);
+  EXPECT_EQ(loaded.predict(pairs[0].first, 200, {}), out);
   std::remove((prefix + ".bpe").c_str());
   std::remove((prefix + ".model").c_str());
 }
@@ -223,11 +223,11 @@ class FirstReplyPredictor : public Predictor {
                       std::string first_reply)
       : nn_(nn), first_reply_(std::move(first_reply)) {}
 
-  std::string predict(const std::string& encoder_text,
-                      int max_tokens) const override {
+  std::string predict(const std::string& encoder_text, int max_tokens,
+                      const CancelSignal& cancel) const override {
     requests_.push_back(encoder_text);
     if (requests_.size() == 1) return first_reply_;
-    return nn_.predict(encoder_text, max_tokens);
+    return nn_.predict(encoder_text, max_tokens, cancel);
   }
 
   const std::vector<std::string>& requests() const { return requests_; }
@@ -242,7 +242,8 @@ class FirstReplyPredictor : public Predictor {
 class ConstantPredictor : public Predictor {
  public:
   explicit ConstantPredictor(std::string reply) : reply_(std::move(reply)) {}
-  std::string predict(const std::string&, int) const override {
+  std::string predict(const std::string&, int,
+                      const CancelSignal&) const override {
     return reply_;
   }
 
