@@ -75,21 +75,7 @@ struct Attempt {
 Attempt run_attempt(circuit::Topology& topo, const device::Technology& tech,
                     const SpecRange& range, const DataGenOptions& opt,
                     uint64_t index) {
-  Rng rng(opt.seed, index);
-  const size_t n_groups = topo.match_groups.size();
-  const bool two_stage = topo.name == "2S-OTA";
-
-  std::vector<double> widths(n_groups);
-  for (size_t g = 0; g < n_groups; ++g) {
-    widths[g] = rng.log_uniform(opt.w_min, opt.w_max);
-  }
-  if (two_stage) {
-    // Groups: load1, dp, tail1, tail2 (M6), cs (M7).
-    topo.apply_widths(widths);
-    widths[4] = std::clamp(balanced_cs_width(topo, tech, widths, rng),
-                           opt.w_min, opt.w_max);
-  }
-  topo.apply_widths(widths);
+  std::vector<double> widths = sample_widths(topo, tech, opt, index);
 
   // The region verdict reads only the DC linearisation, so it is decided
   // before any AC matrix is stamped: candidates an enabled filter rejects
@@ -120,6 +106,25 @@ Attempt run_attempt(circuit::Topology& topo, const device::Technology& tech,
 }
 
 }  // namespace
+
+std::vector<double> sample_widths(circuit::Topology& topo,
+                                  const device::Technology& tech,
+                                  const DataGenOptions& opt, uint64_t index) {
+  Rng rng(opt.seed, index);
+  const size_t n_groups = topo.match_groups.size();
+  std::vector<double> widths(n_groups);
+  for (size_t g = 0; g < n_groups; ++g) {
+    widths[g] = rng.log_uniform(opt.w_min, opt.w_max);
+  }
+  if (topo.name == "2S-OTA") {
+    // Groups: load1, dp, tail1, tail2 (M6), cs (M7).
+    topo.apply_widths(widths);
+    widths[4] = std::clamp(balanced_cs_width(topo, tech, widths, rng),
+                           opt.w_min, opt.w_max);
+  }
+  topo.apply_widths(widths);
+  return widths;
+}
 
 Dataset generate_dataset(circuit::Topology& topo,
                          const device::Technology& tech, const SpecRange& range,

@@ -82,6 +82,13 @@ struct Dataset {
   int spec_rejects = 0;
 };
 
+/// The candidate widths of rejection-sampling attempt `index` (one per match
+/// group), drawn from counted stream Rng(opt.seed, index) and applied to
+/// `topology`.  This is exactly what generate_dataset evaluates at that index.
+std::vector<double> sample_widths(circuit::Topology& topology,
+                                  const device::Technology& tech,
+                                  const DataGenOptions& opt, uint64_t index);
+
 /// Generates a dataset for one topology.  Sampling is log-uniform in each
 /// match-group width (the continuous analogue of the paper's nested sweeps);
 /// the 2S-OTA's second stage uses a current-balance heuristic for the CS

@@ -31,7 +31,20 @@ struct Layout {
 // Node equations are KCL with "current leaving the node" positive.
 class Assembler {
  public:
-  Assembler(const Layout& lay) : lay_(lay), jac_(lay.size(), lay.size()), f_(lay.size(), 0.0) {}
+  explicit Assembler(const Layout& lay) : lay_(lay), f_(lay.size(), 0.0) {}
+
+  // Zeroes f and J for the next assembly.  J starts empty, and
+  // LuDecomposition::factor_swap hands back the decomposition's previous
+  // storage, which is empty after the first swap: size it here.
+  void clear() {
+    const auto n = static_cast<size_t>(lay_.size());
+    if (jac_.rows() != n) {
+      jac_.reset(n, n);
+    } else {
+      jac_.fill(0.0);
+    }
+    std::fill(f_.begin(), f_.end(), 0.0);
+  }
 
   void add_residual(circuit::NodeId node, double current_leaving) {
     if (node != kGround) f_[lay_.v_index(node)] += current_leaving;
@@ -58,10 +71,22 @@ double node_v(const std::vector<double>& x, const Layout& lay, circuit::NodeId i
   return id == kGround ? 0.0 : x[static_cast<size_t>(lay.v_index(id))];
 }
 
-// Builds f(x) and J(x) for the current iterate.
-void assemble(const Netlist& nl, const device::Technology& tech,
-              const Layout& lay, const std::vector<double>& x, double gmin,
-              Assembler& as) {
+// What one solve's Newton iterations share, so that an iteration allocates
+// nothing once the first has sized the buffers.
+struct Workspace {
+  Workspace(const Layout& lay, const device::Technology& tech)
+      : as(lay), nmos(tech.nmos), pmos(tech.pmos) {}
+  Assembler as;
+  linalg::LuDecomposition<double> lu;
+  std::vector<double> dx;
+  device::MosModel nmos;
+  device::MosModel pmos;
+};
+
+// Adds f(x) and J(x) for the current iterate into the cleared assembler.
+void assemble(const Netlist& nl, const Layout& lay,
+              const std::vector<double>& x, double gmin, Workspace& ws) {
+  Assembler& as = ws.as;
   // gmin from every non-ground node to ground stabilizes early iterations.
   if (gmin > 0.0) {
     for (int id = 1; id < lay.n_nodes; ++id) {
@@ -89,10 +114,9 @@ void assemble(const Netlist& nl, const device::Technology& tech,
     as.add_residual(s.neg, -s.dc);
   }
 
-  const device::MosModel nmos(tech.nmos);
-  const device::MosModel pmos(tech.pmos);
   for (const auto& m : nl.mosfets()) {
-    const device::MosModel& model = m.type == device::MosType::Nmos ? nmos : pmos;
+    const device::MosModel& model =
+        m.type == device::MosType::Nmos ? ws.nmos : ws.pmos;
     const double vg = node_v(x, lay, m.gate);
     const double vd = node_v(x, lay, m.drain);
     const double vs = node_v(x, lay, m.source);
@@ -126,6 +150,49 @@ void assemble(const Netlist& nl, const device::Technology& tech,
   }
 }
 
+// One damped Newton run at a fixed gmin, updating the iterate `x` in place.
+// Returns whether it converged within opt.max_iterations.  Throws
+// ConvergenceError on a singular Jacobian (counted in `lu_failures`) or an
+// injected fault: each run is one hit on the "spice.dc.newton" site.
+bool newton(const Netlist& nl, const Layout& lay, const DcOptions& opt,
+            double gmin, Workspace& ws, std::vector<double>& x,
+            int& iterations, int& lu_failures) {
+  FAULT_SITE_AS("spice.dc.newton", ConvergenceError);
+  for (int it = 0; it < opt.max_iterations; ++it) {
+    ++iterations;
+    ws.as.clear();
+    assemble(nl, lay, x, gmin, ws);
+
+    double max_resid = 0.0;
+    for (int r = 0; r < lay.n_nodes - 1; ++r) {
+      max_resid = std::max(max_resid, std::fabs(ws.as.residual()[static_cast<size_t>(r)]));
+    }
+
+    try {
+      ws.lu.factor_swap(ws.as.jacobian());
+    } catch (const ConvergenceError&) {
+      ++lu_failures;
+      throw;
+    }
+    ws.lu.solve_into(ws.as.residual(), ws.dx);
+    const std::vector<double>& dx = ws.dx;
+
+    double max_dv = 0.0;
+    for (int r = 0; r < lay.n_nodes - 1; ++r) {
+      double step = -dx[static_cast<size_t>(r)];
+      step = std::clamp(step, -opt.damping, opt.damping);
+      x[static_cast<size_t>(r)] += step;
+      max_dv = std::max(max_dv, std::fabs(step));
+    }
+    for (int r = lay.n_nodes - 1; r < lay.size(); ++r) {
+      x[static_cast<size_t>(r)] -= dx[static_cast<size_t>(r)];
+    }
+
+    if (max_dv < opt.v_tol && max_resid < opt.residual_tol) return true;
+  }
+  return false;
+}
+
 }  // namespace
 
 DcSolution solve_dc(const Netlist& nl, const device::Technology& tech,
@@ -133,17 +200,17 @@ DcSolution solve_dc(const Netlist& nl, const device::Technology& tech,
   Layout lay{nl.node_count(), static_cast<int>(nl.vsources().size())};
   if (lay.size() == 0) throw InvalidArgument("solve_dc: empty netlist");
 
-  std::vector<double> x(static_cast<size_t>(lay.size()), 0.0);
+  std::vector<double> x0(static_cast<size_t>(lay.size()), 0.0);
   for (int id = 1; id < lay.n_nodes; ++id) {
-    x[static_cast<size_t>(lay.v_index(id))] = opt.v_init;
+    x0[static_cast<size_t>(lay.v_index(id))] = opt.v_init;
   }
   // Seed voltage-source-driven nodes at their source value (when grounded on
   // the other side) so the first iterations start near the final bias.
   for (const auto& s : nl.vsources()) {
     if (s.neg == kGround && s.pos != kGround) {
-      x[static_cast<size_t>(lay.v_index(s.pos))] = s.dc;
+      x0[static_cast<size_t>(lay.v_index(s.pos))] = s.dc;
     } else if (s.pos == kGround && s.neg != kGround) {
-      x[static_cast<size_t>(lay.v_index(s.neg))] = -s.dc;
+      x0[static_cast<size_t>(lay.v_index(s.neg))] = -s.dc;
     }
   }
 
@@ -151,85 +218,70 @@ DcSolution solve_dc(const Netlist& nl, const device::Technology& tech,
   int total_iterations = 0;
   int gmin_retries = 0;
   int lu_failures = 0;
+  bool ladder_fallback = false;
   // Recorded from a destructor so a throwing solve (ladder exhausted,
   // injected fault) still accounts for the Newton work it burned.
   struct RecordCounters {
     const int& iterations;
     const int& retries;
+    const bool& fallback;
     ~RecordCounters() {
       STAT_COUNTER_ADD("spice.dc.newton_iterations", iterations);
       STAT_COUNTER_ADD("spice.dc.gmin_retries", retries);
+      STAT_COUNTER_ADD("spice.dc.ladder_fallbacks", fallback ? 1 : 0);
     }
-  } record{total_iterations, gmin_retries};
-  std::vector<double> gmins = opt.gmin_steps;
-  if (gmins.empty() || gmins.back() != 0.0) gmins.push_back(0.0);
+  } record{total_iterations, gmin_retries, ladder_fallback};
+  Workspace ws(lay, tech);
 
-  for (double gmin : gmins) {
-    bool converged = false;
-    try {
-      // Injectable Newton failure at this gmin step: exercises exactly the
-      // recovery below (retry at the next ladder rung) plus, at gmin == 0,
-      // the caller-facing ConvergenceError path.
-      FAULT_SITE_AS("spice.dc.newton", ConvergenceError);
-      for (int it = 0; it < opt.max_iterations; ++it) {
-        ++total_iterations;
-        Assembler as(lay);
-        assemble(nl, tech, lay, x, gmin, as);
+  // Plain Newton first, as SPICE does; most bias points converge here.
+  std::vector<double> x = x0;
+  bool converged = false;
+  try {
+    converged = newton(nl, lay, opt, 0.0, ws, x, total_iterations, lu_failures);
+  } catch (const ConvergenceError&) {
+    // Singular Jacobian or injected fault: the ladder below takes over.
+  }
 
-        double max_resid = 0.0;
-        for (int r = 0; r < lay.n_nodes - 1; ++r) {
-          max_resid = std::max(max_resid, std::fabs(as.residual()[static_cast<size_t>(r)]));
-        }
+  if (!converged) {
+    // The gmin ladder, restarted from the initial guess: each rung adds a
+    // conductance from every node to ground and warm-starts the next.
+    ladder_fallback = true;
+    x = x0;
+    std::vector<double> gmins = opt.gmin_steps;
+    if (gmins.empty() || gmins.back() != 0.0) gmins.push_back(0.0);
 
-        std::vector<double> dx;
-        try {
-          dx = linalg::LuDecomposition<double>(as.jacobian()).solve(as.residual());
-        } catch (const ConvergenceError&) {
-          ++lu_failures;  // singular at this gmin; the handler below retries
-          throw;
+    for (double gmin : gmins) {
+      bool rung_converged = false;
+      try {
+        rung_converged =
+            newton(nl, lay, opt, gmin, ws, x, total_iterations, lu_failures);
+      } catch (const ConvergenceError& e) {
+        // A singular Jacobian (or injected Newton fault) at a nonzero gmin is
+        // recoverable: the next (smaller) ladder rung retries from the
+        // current iterate.  Count it instead of silently breaking, so callers
+        // can see how hard the ladder worked; at gmin == 0 there is no rung
+        // left.
+        if (gmin == 0.0) {
+          throw ConvergenceError(
+              "solve_dc: gmin ladder exhausted (" + std::string(e.what()) +
+              "; " + std::to_string(gmin_retries) + " gmin retries, " +
+              std::to_string(lu_failures) + " LU failures)");
         }
-
-        double max_dv = 0.0;
-        for (int r = 0; r < lay.n_nodes - 1; ++r) {
-          double step = -dx[static_cast<size_t>(r)];
-          step = std::clamp(step, -opt.damping, opt.damping);
-          x[static_cast<size_t>(r)] += step;
-          max_dv = std::max(max_dv, std::fabs(step));
-        }
-        for (int r = lay.n_nodes - 1; r < lay.size(); ++r) {
-          x[static_cast<size_t>(r)] -= dx[static_cast<size_t>(r)];
-        }
-
-        if (max_dv < opt.v_tol && max_resid < opt.residual_tol) {
-          converged = true;
-          break;
-        }
+        ++gmin_retries;
+        continue;
       }
-    } catch (const ConvergenceError& e) {
-      // A singular Jacobian (or injected Newton fault) at a nonzero gmin is
-      // recoverable: the next (smaller) ladder rung retries from the current
-      // iterate.  Count it instead of silently breaking, so callers can see
-      // how hard the ladder worked; at gmin == 0 there is no rung left.
-      if (gmin == 0.0) {
-        throw ConvergenceError(
-            "solve_dc: gmin ladder exhausted (" + std::string(e.what()) +
-            "; " + std::to_string(gmin_retries) + " gmin retries, " +
-            std::to_string(lu_failures) + " LU failures)");
+      if (!rung_converged) {
+        if (gmin == 0.0) {
+          throw ConvergenceError(
+              "solve_dc: Newton failed to converge after " +
+              std::to_string(total_iterations) + " iterations (" +
+              std::to_string(gmin_retries) + " gmin retries, " +
+              std::to_string(lu_failures) + " LU failures)");
+        }
+        // Iteration budget exhausted at a nonzero rung: homotopy continues,
+        // but the rung did not do its job — surface it as a retry too.
+        ++gmin_retries;
       }
-      ++gmin_retries;
-      continue;
-    }
-    if (!converged) {
-      if (gmin == 0.0) {
-        throw ConvergenceError(
-            "solve_dc: Newton failed to converge after " +
-            std::to_string(total_iterations) + " iterations (" +
-            std::to_string(gmin_retries) + " gmin retries, " +
-            std::to_string(lu_failures) + " LU failures)");
-      }
-      // Iteration budget exhausted at a nonzero rung: homotopy continues,
-      // but the rung did not do its job — surface it as a retry too.
-      ++gmin_retries;
     }
   }
 

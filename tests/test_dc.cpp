@@ -1,10 +1,18 @@
-// Newton DC solver tests: linear sanity, nonlinear devices, full OTAs.
+// Newton DC solver tests: linear sanity, nonlinear devices, full OTAs, and
+// plain Newton against its gmin-ladder fallback.
 #include "spice/dc.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+#include <vector>
+
 #include "circuit/topologies.hpp"
 #include "common/error.hpp"
+#include "common/fault.hpp"
+#include "core/dataset.hpp"
+#include "spice/testbench.hpp"
 
 namespace ota::spice {
 namespace {
@@ -141,6 +149,105 @@ TEST_F(DcTest, SmallSignalMapCoversAllDevices) {
 TEST_F(DcTest, EmptyNetlistThrows) {
   Netlist nl;
   EXPECT_THROW(solve_dc(nl, tech), InvalidArgument);
+}
+
+// Plain Newton first, against the gmin ladder it falls back to.  Faulting the
+// plain attempt at its one fault-site hit forces that fallback, which restarts
+// from the initial guess: it is the always-ladder solve.
+class DcOracleTest : public DcTest {
+ protected:
+  OperatingPoint ladder_only(const circuit::Topology& topo) {
+    fault::ScopedFaults faults("spice.dc.newton:once=1");
+    return operating_point(topo, tech);
+  }
+};
+
+TEST_F(DcOracleTest, NewtonFirstMatchesTheLadderOnDatagenCandidates) {
+  // Every candidate the dataset sampler draws, region rejects included.
+  const double tol = 3.0 * DcOptions{}.v_tol;
+  const core::DataGenOptions opt;
+  for (const char* name : {"5T-OTA", "CM-OTA", "2S-OTA"}) {
+    auto topo = circuit::make_topology(name, tech);
+    for (uint64_t i = 0; i < 200; ++i) {
+      SCOPED_TRACE(std::string(name) + " candidate " + std::to_string(i));
+      core::sample_widths(topo, tech, opt, i);
+      bool newton_ok = true, ladder_ok = true;
+      OperatingPoint newton, ladder;
+      try {
+        newton = operating_point(topo, tech);
+      } catch (const ConvergenceError&) {
+        newton_ok = false;
+      }
+      try {
+        ladder = ladder_only(topo);
+      } catch (const ConvergenceError&) {
+        ladder_ok = false;
+      }
+      ASSERT_EQ(newton_ok, ladder_ok);
+      if (!newton_ok) continue;
+      ASSERT_EQ(newton.dc.v.size(), ladder.dc.v.size());
+      for (size_t n = 0; n < newton.dc.v.size(); ++n) {
+        EXPECT_NEAR(newton.dc.v[n], ladder.dc.v[n], tol) << "node " << n;
+      }
+      EXPECT_EQ(newton.regions_ok, ladder.regions_ok);
+      EXPECT_EQ(newton.saturation_ok, ladder.saturation_ok);
+    }
+  }
+}
+
+TEST_F(DcOracleTest, FallbackIsTheAlwaysLadderSolveBitForBit) {
+  // Node voltages and Newton iterations of the solver that always walked the
+  // full gmin ladder, captured as hexfloats for the first two candidates the
+  // dataset sampler draws (default options) on each topology.
+  struct Pin {
+    const char* topology;
+    uint64_t index;
+    int iterations;
+    std::vector<double> v;
+  };
+  const Pin pins[] = {
+      {"5T-OTA", 0, 27,
+        {0x0p+0, 0x1.3333333333333p+0, 0x1.8p-1, 0x1.8p-1, 0x1p-1,
+         0x1.b58a2df192242p-1, 0x1.b58a2df192242p-1, 0x1.0265daf376fp-2}},
+      {"5T-OTA", 1, 26,
+        {0x0p+0, 0x1.3333333333333p+0, 0x1.8p-1, 0x1.8p-1, 0x1p-1,
+         0x1.647515249b062p-1, 0x1.647515249b062p-1, 0x1.d0d08f8e1e1c1p-2}},
+      {"CM-OTA", 0, 27,
+        {0x0p+0, 0x1.3333333333333p+0, 0x1.8p-1, 0x1.8p-1, 0x1p-1,
+         0x1.b58a2df192242p-1, 0x1.b58a2df192242p-1, 0x1.0265daf376fp-2,
+         0x1.aadf5fff79ab9p-2, 0x1.aadf5fff79ab9p-2}},
+      {"CM-OTA", 1, 26,
+        {0x0p+0, 0x1.3333333333333p+0, 0x1.8p-1, 0x1.8p-1, 0x1p-1,
+         0x1.647515249b062p-1, 0x1.647515249b062p-1, 0x1.d0d08f8e1e1c1p-2,
+         0x1.33e0ab02b5982p-1, 0x1.33e0ab02b5982p-1}},
+      {"2S-OTA", 0, 27,
+        {0x0p+0, 0x1.3333333333333p+0, 0x1.8p-1, 0x1.8p-1, 0x1p-1,
+         0x1.3333333333333p-1, 0x1.b58a2df192242p-1, 0x1.b58a2df192242p-1,
+         0x1.0265daf376fp-2, 0x1.8aa2fc1cf1697p-1}},
+      {"2S-OTA", 1, 26,
+        {0x0p+0, 0x1.3333333333333p+0, 0x1.8p-1, 0x1.8p-1, 0x1p-1,
+         0x1.3333333333333p-1, 0x1.647515249b062p-1, 0x1.647515249b062p-1,
+         0x1.d0d08f8e1e1c1p-2, 0x1.df34c2e1f08d1p-2}},
+  };
+  const core::DataGenOptions opt;
+  for (const Pin& p : pins) {
+    SCOPED_TRACE(std::string(p.topology) + " candidate " + std::to_string(p.index));
+    auto topo = circuit::make_topology(p.topology, tech);
+    core::sample_widths(topo, tech, opt, p.index);
+    const DcSolution sol = ladder_only(topo).dc;
+    EXPECT_EQ(sol.iterations, p.iterations);
+    ASSERT_EQ(sol.v.size(), p.v.size());
+    EXPECT_EQ(std::memcmp(sol.v.data(), p.v.data(), p.v.size() * sizeof(double)), 0);
+
+    // A plain attempt that fails after moving the iterate (a singular second
+    // Jacobian) still hands the ladder the initial guess.
+    fault::ScopedFaults faults("linalg.lu.factor:once=2");
+    const DcSolution late = solve_dc(topo.netlist, tech);
+    EXPECT_EQ(late.iterations, 2 + p.iterations);
+    EXPECT_EQ(late.lu_failures, 1);
+    ASSERT_EQ(late.v.size(), p.v.size());
+    EXPECT_EQ(std::memcmp(late.v.data(), p.v.data(), p.v.size() * sizeof(double)), 0);
+  }
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 
 #include "circuit/netlist.hpp"
 #include "common/error.hpp"
+#include "common/stats.hpp"
 #include "device/technology.hpp"
 #include "spice/dc.hpp"
 
@@ -172,6 +173,12 @@ class FaultDcTest : public ::testing::Test {
     nl.add_resistor("R2", "mid", "0", 1e3);
     return nl;
   }
+  // Solves since the last stats reset that fell back to the gmin ladder.
+  static uint64_t ladder_fallbacks() {
+    const auto sites = ::ota::stats::snapshot();
+    const auto it = sites.find("spice.dc.ladder_fallbacks");
+    return it == sites.end() ? 0 : it->second.count;
+  }
 };
 
 TEST_F(FaultDcTest, CleanSolveReportsNoRetries) {
@@ -181,27 +188,34 @@ TEST_F(FaultDcTest, CleanSolveReportsNoRetries) {
 }
 
 TEST_F(FaultDcTest, LadderAbsorbsAnInjectedLuSingularityAndCountsIt) {
-  ScopedFaults faults("linalg.lu.factor:once=1");
+  // Hit 1 of each site is the plain Newton attempt: its first factorization
+  // fails, and the first ladder rung then takes an injected Newton fault.
+  ScopedFaults faults("linalg.lu.factor:once=1;spice.dc.newton:once=2");
+  ::ota::stats::ScopedStats scoped;
   const auto nl = divider();
   const auto sol = spice::solve_dc(nl, tech);
-  // The first rung's first factorization failed; the ladder retried at the
-  // next rung and still converged to the exact answer.
+  // The ladder retried at the next rung and still converged to the exact
+  // answer.
   EXPECT_EQ(sol.lu_failures, 1);
   EXPECT_GE(sol.gmin_retries, 1);
+  EXPECT_EQ(ladder_fallbacks(), 1u);
   EXPECT_NEAR(sol.voltage(nl, "mid"), 0.6, 1e-9);
 }
 
 TEST_F(FaultDcTest, LadderAbsorbsAnInjectedNewtonFaultAndCountsIt) {
-  ScopedFaults faults("spice.dc.newton:once=1");
+  ScopedFaults faults("spice.dc.newton:once=1");  // fails the plain attempt
+  ::ota::stats::ScopedStats scoped;
   const auto nl = divider();
   const auto sol = spice::solve_dc(nl, tech);
-  EXPECT_EQ(sol.gmin_retries, 1);
+  // The fallback ladder ran clean from the initial guess.
+  EXPECT_EQ(ladder_fallbacks(), 1u);
+  EXPECT_EQ(sol.gmin_retries, 0);
   EXPECT_EQ(sol.lu_failures, 0);
   EXPECT_NEAR(sol.voltage(nl, "mid"), 0.6, 1e-9);
 }
 
 TEST_F(FaultDcTest, ExhaustedLadderSurfacesRetryCountsInTheError) {
-  ScopedFaults faults("spice.dc.newton:every=1");  // every rung fails
+  ScopedFaults faults("spice.dc.newton:every=1");  // every run fails
   try {
     spice::solve_dc(divider(), tech);
     FAIL() << "expected ConvergenceError";
