@@ -4,8 +4,9 @@
 // (ota::fault) with a storm spec spanning three layers — serve (worker
 // pickup), core (Stage-II predict submit), ml (a mid-decode session step) —
 // under concurrent load, then a degradation spec in the numerics (spice
-// Newton runs + LU factorization) that the gmin-ladder fallback and Stage-IV
-// hard-miss handling must absorb without a single campaign failing.
+// Newton runs, DC LU factorizations, AC frequency points) that the
+// gmin-ladder fallback and Stage-IV hard-miss handling must absorb without a
+// single campaign failing.
 //
 // Gates, enforced through the exit code:
 //
@@ -21,11 +22,12 @@
 //  * post-storm health (always) — after fault::clear() the SAME server
 //    serves a probe campaign bit-identically: no worker died, no state leaked;
 //  * degradation determinism (always) — with `spice.dc.newton:every=7;
-//    linalg.lu.factor:every=101` installed, a serial copilot pass and a
-//    1-worker server pass produce bit-identical outcomes, zero failed
-//    campaigns (the ladder + hard-miss paths absorb everything), and
-//    identical per-site hit/fired counters — the firing stream is a pure
-//    function of the hit index, not of which thread got there.
+//    linalg.lu.factor:every=101;spice.ac.point:every=499` installed, a
+//    serial copilot pass and a 1-worker server pass produce bit-identical
+//    outcomes, zero failed campaigns (the ladder + hard-miss paths absorb
+//    everything), and identical per-site hit/fired counters, each site
+//    firing at least once — the firing stream is a pure function of the hit
+//    index, not of which thread got there.
 //
 // Exact accounting is printed first; lines that depend on thread timing
 // (wall clock, per-site hit counts of the storm, which campaign a hit-indexed
@@ -36,7 +38,7 @@
 // OTA_BENCH_JSON, default BENCH_fault.json) for scripts/bench_snapshot.sh.
 //
 // OTA_CHAOS_ROUNDS=N (the nightly chaos job) appends a fourth pass: N rounds
-// of a randomized `prob=` spec across all seven fault sites at once
+// of a randomized `prob=` spec across all eight fault sites at once
 // (OTA_CHAOS_PROB, default 0.02; per-round deterministic seeds derived from
 // OTA_CHAOS_SEED), gated on exactly-once accounting per round and a
 // fault-free bit-identical probe after the last round.
@@ -73,9 +75,12 @@ constexpr const char* kStormSpec =
     "core.predict.submit:once=5;"
     "ml.session.step:once=29";
 
-// The degradation spec: numerics-layer faults the recovery ladders absorb.
+// The degradation spec: numerics-layer faults the recovery paths absorb.  The
+// DC faults (Newton runs, LU factorizations, which only DC performs) land on
+// the gmin ladder; AC point faults land on Stage IV's hard-miss path.
 constexpr const char* kDegradeSpec =
-    "spice.dc.newton:every=7;linalg.lu.factor:every=101";
+    "spice.dc.newton:every=7;linalg.lu.factor:every=101;"
+    "spice.ac.point:every=499";
 
 }  // namespace
 
@@ -275,7 +280,8 @@ int main() {
   degrade_server.shutdown();
 
   bool degrade_counters_match = true;
-  for (const char* site : {"spice.dc.newton", "linalg.lu.factor"}) {
+  for (const char* site :
+       {"spice.dc.newton", "linalg.lu.factor", "spice.ac.point"}) {
     const auto a = degrade_serial_stats.find(site);
     const auto b = degrade_server_stats.find(site);
     const uint64_t a_hits = a == degrade_serial_stats.end() ? 0 : a->second.hits;
@@ -325,7 +331,7 @@ int main() {
     constexpr const char* kChaosSites[] = {
         "linalg.lu.factor",   "spice.dc.newton",      "ml.session.encode",
         "ml.session.step",    "ml.scheduler.round",   "core.predict.submit",
-        "serve.worker.campaign"};
+        "serve.worker.campaign", "spice.ac.point"};
     std::fprintf(stderr,
                  "[bench] chaos schedule: %d rounds x %d campaigns, prob "
                  "%.3g over %zu sites, seed %llu...\n",

@@ -54,8 +54,8 @@ struct CopilotOptions {
   /// currents, gm and UGF/BW linearly — the gm/Id-methodology scaling step.
   int prediction_iterations = 3;
   /// AC measurement configuration for the Stage IV verification simulation
-  /// (one batched sweep per candidate).  `measure.threads` stays 1 here
-  /// because campaigns shard whole sizing runs across the pool.
+  /// (one coarse sweep plus bisection per candidate, on the campaign's own
+  /// thread: campaigns shard whole sizing runs across the pool).
   spice::MeasureOptions measure{};
   /// Cooperative cancellation for the whole campaign: once its flag is set
   /// or its deadline passes, size() throws ota::Cancelled at the next stage

@@ -67,9 +67,9 @@ struct DataGenOptions {
   /// AC measurement configuration for the candidates that pass the region
   /// and saturation filters (the only ones whose AC is measured: rejects are
   /// decided at the DC operating point).  Each survivor's gain/BW/UGF
-  /// extraction rides one batched transfer_sweep over the cached AC engine;
-  /// `measure.threads` stays 1 here because the attempts themselves are
-  /// already sharded across the pool.
+  /// extraction is one coarse transfer_sweep plus bisection, on the thread
+  /// that ran the attempt: the attempts themselves are sharded across the
+  /// pool.
   spice::MeasureOptions measure{};
 };
 

@@ -1,7 +1,8 @@
 // LU factorization with partial pivoting and linear solves.
 //
-// Header-only template so the same code serves the real-valued Newton DC
-// Jacobian and the complex-valued AC system matrix.
+// Header-only template: the real instantiation solves the Newton DC
+// Jacobian; the complex one is the dense reference the Hessenberg AC engine
+// (linalg/hessenberg.hpp) is tested and benchmarked against.
 #pragma once
 
 #include <cmath>
@@ -28,9 +29,8 @@ inline double magnitude(const std::complex<double>& x) { return std::abs(x); }
 ///
 /// A decomposition is reusable storage: `factor_swap()` re-factors a new
 /// matrix by exchanging buffers with it, and `solve_into` writes into a
-/// caller-owned output vector — the combination the AC sweep engine uses to
-/// solve thousands of frequency points without a single per-point
-/// allocation.
+/// caller-owned output vector — the combination the DC Newton loop uses to
+/// re-factor its Jacobian every iteration without a single allocation.
 template <typename T>
 class LuDecomposition {
  public:
@@ -47,8 +47,8 @@ class LuDecomposition {
   /// Re-factors `a` by exchanging buffers with it: on return `a` holds the
   /// previous decomposition's storage (unspecified contents, correctly sized
   /// scratch after the first round trip).  For hot loops that fully
-  /// reassemble the matrix every iteration — the AC sweep's per-frequency
-  /// phase — this makes re-factoring allocation- and copy-free.
+  /// reassemble the matrix every iteration — the DC Newton loop's Jacobian —
+  /// this makes re-factoring allocation- and copy-free.
   void factor_swap(Matrix<T>& a, double singular_tol = 1e-14) {
     std::swap(lu_, a);
     factor_in_place(singular_tol);
@@ -83,9 +83,9 @@ class LuDecomposition {
 
  private:
   void factor_in_place(double singular_tol) {
-    // Injectable singularity: lets robustness tests exercise every caller's
-    // ConvergenceError recovery path (gmin ladder, AC sweep, copilot retry)
-    // without having to construct a numerically singular system.
+    // Injectable singularity: lets robustness tests exercise the DC solver's
+    // ConvergenceError recovery (plain Newton falling back to the gmin
+    // ladder) without having to construct a numerically singular system.
     FAULT_SITE_AS("linalg.lu.factor", ConvergenceError);
     STAT_REGION("linalg.lu.factor");
     const size_t n = lu_.rows();

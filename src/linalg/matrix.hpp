@@ -2,8 +2,9 @@
 //
 // The circuits in this repository have at most a few dozen MNA unknowns, so a
 // simple dense representation is both adequate and the fastest option at this
-// size.  The same template instantiates for double (DC Newton iterations) and
-// std::complex<double> (AC sweeps).
+// size.  The same template instantiates for double (DC Newton iterations, the
+// AC pencil) and std::complex<double> (the dense AC reference in tests and
+// benches).
 #pragma once
 
 #include <complex>

@@ -2,19 +2,21 @@
 //
 // Linearizes every MOSFET at a DC operating point into {gm, gds, Cgs, Cds}
 // (exactly the four device parameters the paper's transformer predicts) and
-// solves the complex MNA system at each requested frequency.  Voltage and
-// current sources contribute their `ac` values as excitations.
+// solves the complex MNA system (G + jwC) x = b at each requested frequency.
+// Voltage and current sources contribute their `ac` values as excitations.
 //
 // The analysis is split into a one-time structural phase and a cheap
-// per-frequency numeric phase.  Construction stamps the frequency-independent
-// conductance pattern G (resistors, gm/gds, voltage-source rows), the
-// capacitance pattern C (capacitors, Cgs, Cds), and the source excitation
-// vector once; each frequency point then only assembles Y(w) = G + jwC into
-// reusable scratch, factors, and solves — no netlist walk, no name lookups,
-// no per-point allocation.  sweep()/transfer_sweep() fan frequency points
-// across an ota::par pool with results written to caller-indexed slots, so
-// sweep output is bit-identical for any thread count (the repository-wide
-// determinism contract).
+// per-frequency numeric phase.  Construction stamps the conductance pattern G
+// (resistors, gm/gds, voltage-source rows), the capacitance pattern C
+// (capacitors, Cgs, Cds) and the excitation b once, then reduces the pencil
+// (G, C) to Hessenberg-triangular form, Q'GZ = H and Q'CZ = T
+// (linalg/hessenberg.hpp).  Each frequency point then solves the Hessenberg
+// system (H + jwT) y = Q'b in O(n^2) into per-thread scratch and reads
+// x = Z y, one O(n) row per unknown wanted: no netlist walk, no name lookups,
+// no per-point allocation, no per-point factorization.  sweep() and
+// transfer_sweep() fan frequency points across an ota::par pool with results
+// written to caller-indexed slots, so sweep output is bit-identical for any
+// thread count (the repository-wide determinism contract).
 #pragma once
 
 #include <complex>
@@ -23,24 +25,26 @@
 
 #include "circuit/netlist.hpp"
 #include "device/technology.hpp"
-#include "linalg/lu.hpp"
+#include "linalg/hessenberg.hpp"
 #include "linalg/matrix.hpp"
 #include "spice/dc.hpp"
 
 namespace ota::spice {
 
 /// Reusable AC analysis for one netlist + operating point.  Construction
-/// extracts the small-signal model and the MNA stamp pattern once; every
-/// solve path (single point or batched sweep) runs the cached numeric phase.
+/// extracts the small-signal model and reduces the MNA pencil once; every
+/// solve path (single point or batched sweep) runs the same numeric phase.
 class AcAnalysis {
  public:
-  /// Throws InvalidArgument when the netlist has no MNA unknowns.
+  /// Throws InvalidArgument when the netlist has no MNA unknowns.  Every
+  /// solve below throws ConvergenceError when G + jwC is numerically
+  /// singular at the requested frequency.
   AcAnalysis(const circuit::Netlist& netlist, const device::Technology& tech,
              const DcSolution& dc);
 
-  /// Complex node voltages at frequency `f_hz`, indexed by NodeId.  A thin
-  /// wrapper over the batch path's numeric phase, run against per-thread
-  /// scratch so repeated single-point calls stay allocation-free too.
+  /// Complex node voltages at frequency `f_hz`, indexed by NodeId.  A sweep
+  /// of one: the batch path's numeric phase, run against per-thread scratch
+  /// so repeated single-point calls stay allocation-free too.
   std::vector<std::complex<double>> solve(double f_hz) const;
 
   /// Transfer value at the named node (the excitation amplitudes are encoded
@@ -68,18 +72,14 @@ class AcAnalysis {
   }
 
   /// Number of MNA unknowns (node voltages + source branch currents).
-  int system_size() const { return size_; }
+  int system_size() const { return static_cast<int>(pencil_.size()); }
 
  private:
   /// Per-worker scratch for the numeric phase; one per sweep chunk.
-  struct Workspace {
-    linalg::MatrixC y;
-    linalg::LuDecomposition<std::complex<double>> lu;
-    std::vector<std::complex<double>> x;
-  };
+  using Workspace = linalg::HessenbergTriangular::Workspace;
 
-  /// Numeric phase for one point: assemble Y(w) = G + jwC, factor, solve.
-  /// Leaves the MNA solution in ws.x.
+  /// Numeric phase for one point: solves (H + jwT) y = Q'b into `ws`; the
+  /// MNA unknowns are read back through pencil_.solution().
   void solve_point(double f_hz, Workspace& ws) const;
 
   /// The shared sweep scaffold: solves every frequency across the pool
@@ -94,10 +94,7 @@ class AcAnalysis {
 
   const circuit::Netlist& netlist_;
   std::map<std::string, device::SmallSignal> devices_;
-  int size_ = 0;               ///< MNA system size
-  linalg::MatrixD g_;          ///< frequency-independent (conductance) stamps
-  linalg::MatrixD c_;          ///< capacitance stamps, scaled by w per point
-  std::vector<std::complex<double>> rhs_;  ///< cached source excitation
+  linalg::HessenbergTriangular pencil_;  ///< (G, C) reduced, with Q'b
 };
 
 }  // namespace ota::spice

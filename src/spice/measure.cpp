@@ -3,6 +3,7 @@
 #include <cmath>
 #include <complex>
 #include <numbers>
+#include <optional>
 #include <vector>
 
 #include "common/error.hpp"
@@ -69,16 +70,6 @@ std::vector<double> magnitudes(const std::vector<std::complex<double>>& h) {
 
 }  // namespace
 
-std::optional<double> find_falling_crossing(const AcAnalysis& ac,
-                                            const std::string& node,
-                                            double target,
-                                            const MeasureOptions& opt) {
-  const std::vector<double> grid = scan_grid(opt);
-  const std::vector<double> mags =
-      magnitudes(ac.transfer_sweep(grid, node, opt.threads));
-  return crossing_from_scan(ac, node, target, grid, mags, opt);
-}
-
 AcMetrics measure_ac(const AcAnalysis& ac, const std::string& node,
                      const MeasureOptions& opt) {
   STAT_REGION("spice.measure");
@@ -87,7 +78,7 @@ AcMetrics measure_ac(const AcAnalysis& ac, const std::string& node,
   // searches (the pre-batched path re-scanned the grid once per crossing).
   const std::vector<double> grid = scan_grid(opt);
   const std::vector<std::complex<double>> h =
-      ac.transfer_sweep(grid, node, opt.threads);
+      ac.transfer_sweep(grid, node);
   const std::vector<double> mags = magnitudes(h);
 
   const std::complex<double> h0 = h.front();

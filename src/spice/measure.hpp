@@ -1,15 +1,16 @@
 // Frequency-response measurements: the three performance metrics of the paper
 // (DC gain, 3 dB bandwidth, unity-gain frequency) plus phase margin.
 //
-// All measurements ride the batched AC path: one coarse log-spaced
-// transfer_sweep() covers the whole [f_low, f_high] scan (shared by the gain
-// readout and both crossing searches), and only the final bisection
-// refinements solve individual points.  The coarse sweep fans across the
-// ota::par pool when MeasureOptions::threads allows; results are
-// bit-identical for every thread count.
+// A measurement is one coarse log-spaced transfer_sweep() over
+// [f_low, f_high], shared by the gain readout and both crossing searches, then
+// log-bisection of each crossing down to `rel_tol`, one transfer() per step.
+// With the default options that is 97 coarse points and about 39 refinement
+// points, each an O(n^2) Hessenberg solve against the pencil AcAnalysis
+// reduced once.  The sweep runs on the calling thread: measurements run inside
+// an outer parallel region (dataset generation, campaign evaluation) that
+// already fills the pool.
 #pragma once
 
-#include <optional>
 #include <string>
 
 #include "spice/ac.hpp"
@@ -31,26 +32,14 @@ struct MeasureOptions {
   double f_high = 1e12;     ///< upper limit of crossover searches [Hz]
   int points_per_decade = 8;  ///< coarse-scan density before bisection
   double rel_tol = 1e-6;    ///< bisection relative frequency tolerance
-  /// Worker threads for the coarse sweep (see AcAnalysis::sweep): explicit
-  /// count, or 0 for auto (OTA_THREADS env, else hardware concurrency).
-  /// Defaults to 1 because measurements commonly run inside an outer
-  /// parallel region (dataset generation, campaign evaluation).  A value
-  /// > 1 spawns one pool per measurement for the ~100-point coarse sweep —
-  /// worthwhile for interactive top-level calls, not inside tight loops
-  /// (parallelize across candidates there instead).
-  int threads = 1;
 };
 
 /// Measures gain / BW / UGF / PM at the named output node over one coarse
-/// sweep call plus bisection refinements.
+/// sweep call plus bisection refinements.  BW (UGF) is the first falling
+/// crossing of gain/sqrt(2) (of 1) in [f_low, f_high], 0 when there is none.
+/// Throws InvalidArgument on a degenerate scan configuration, and
+/// ConvergenceError when the AC system is singular at a scanned point.
 AcMetrics measure_ac(const AcAnalysis& ac, const std::string& output_node,
                      const MeasureOptions& opt = {});
-
-/// Finds the frequency at which |H| crosses `target` (falling), between
-/// f_low and f_high, or nullopt when no crossing exists.
-std::optional<double> find_falling_crossing(const AcAnalysis& ac,
-                                            const std::string& output_node,
-                                            double target,
-                                            const MeasureOptions& opt = {});
 
 }  // namespace ota::spice

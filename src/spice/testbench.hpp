@@ -10,10 +10,9 @@
 // evaluate()/evaluate_current() are that composition.  The region verdict is
 // a pure function of the DC solution, so callers that discard region rejects
 // (dataset generation, the ICMR sweep) stop after stage 1 and get exactly the
-// verdict the full evaluation would have reported.  The AC measurement rides
-// the batched sweep engine (one coarse transfer_sweep per evaluation, see
-// spice/measure.hpp); MeasureOptions::threads controls how far that sweep
-// fans out across the ota::par pool.
+// verdict the full evaluation would have reported.  The AC measurement is one
+// coarse transfer_sweep plus bisection per evaluation (spice/measure.hpp), on
+// the calling thread.
 #pragma once
 
 #include <map>

@@ -8,6 +8,8 @@
 #include <numbers>
 
 #include "circuit/topologies.hpp"
+#include "common/error.hpp"
+#include "spice/measure.hpp"
 
 namespace ota::spice {
 namespace {
@@ -116,6 +118,27 @@ TEST_F(AcTest, HandAnalysisFiveTransistorGain) {
   const double expected = m4.gm / (m2.gds + m4.gds);
   const double measured = std::abs(ac.transfer(1.0, "vout"));
   EXPECT_NEAR(measured, expected, expected * 0.10);
+}
+
+TEST_F(AcTest, SingularSystemThrowsConvergenceError) {
+  // Node "x" is fed only by a current source: nothing ties its voltage to the
+  // rest of the circuit, so G + jwC is singular at every frequency.  Every
+  // entry point must throw the typed error, never hand back NaN.
+  Netlist nl;
+  nl.add_vsource("V1", "in", "0", 0.0, 1.0);
+  nl.add_resistor("R1", "in", "0", 1e3);
+  nl.add_isource("I1", "0", "x", 0.0, 1e-3);
+  // The DC system is singular too; with no MOSFET to linearise, an all-zero
+  // operating point stands in for it.
+  DcSolution dc;
+  dc.v.assign(static_cast<size_t>(nl.node_count()), 0.0);
+  const AcAnalysis ac(nl, tech, dc);
+  EXPECT_THROW(ac.solve(1e3), ConvergenceError);
+  EXPECT_THROW(ac.transfer(1e3, "x"), ConvergenceError);
+  EXPECT_THROW(ac.transfer(1e3, "in"), ConvergenceError);
+  EXPECT_THROW(ac.transfer_sweep({1.0, 1e6, 1e12}, "x"), ConvergenceError);
+  EXPECT_THROW(ac.transfer_sweep({1.0, 1e6, 1e12}, "x", 3), ConvergenceError);
+  EXPECT_THROW(measure_ac(ac, "x"), ConvergenceError);
 }
 
 }  // namespace

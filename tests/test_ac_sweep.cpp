@@ -2,8 +2,7 @@
 //
 // Three property groups:
 //  * AcSweepTest — the batch path is THE path: sweep()/transfer_sweep()
-//    agree bit-for-bit with per-point solve()/transfer() loops, and the
-//    batched measure_ac is invariant in its thread knob.
+//    agree bit-for-bit with per-point solve()/transfer() loops.
 //  * DeterminismTest — thread count is a pure performance knob for sweeps
 //    (the fixture name opts these tests into the TSan CI gate alongside the
 //    dataset/training determinism suites).
@@ -186,23 +185,6 @@ TEST_F(DeterminismTest, AcTransferSweepBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(serial[i].real(), par8[i].real()) << "point " << i;
     EXPECT_EQ(serial[i].imag(), par8[i].imag()) << "point " << i;
   }
-}
-
-TEST_F(DeterminismTest, MeasureAcBitIdenticalAcrossThreadCounts) {
-  auto topo = circuit::make_5t_ota(tech);
-  const AcAnalysis ac = make_ota_analysis(topo, tech);
-
-  MeasureOptions serial_opt;
-  serial_opt.threads = 1;
-  MeasureOptions par_opt;
-  par_opt.threads = 8;
-  const AcMetrics a = measure_ac(ac, "vout", serial_opt);
-  const AcMetrics b = measure_ac(ac, "vout", par_opt);
-  EXPECT_EQ(a.gain_db, b.gain_db);
-  EXPECT_EQ(a.gain_linear, b.gain_linear);
-  EXPECT_EQ(a.bw_3db_hz, b.bw_3db_hz);
-  EXPECT_EQ(a.ugf_hz, b.ugf_hz);
-  EXPECT_EQ(a.phase_margin_deg, b.phase_margin_deg);
 }
 
 }  // namespace

@@ -203,7 +203,10 @@ TEST_F(DatasetTest, OutcomesMatchPinnedReference) {
   // and 4 threads, which agreed.  The counts date from the implementation
   // that ran the full DC + AC evaluation on every candidate; the hashes were
   // re-captured when solve_dc started with plain Newton, which moved specs
-  // and device parameters by a few ULP.  Any change to what dataset
+  // and device parameters by a few ULP, and again when AC analysis moved from
+  // a dense LU per frequency to a Hessenberg-triangular pencil, which moved
+  // the measured gain by a few ULP (BW and UGF are bisection midpoints and
+  // stayed put; the counts did not change).  Any change to what dataset
   // generation produces must fail here.
   struct Pin {
     const char* topology;
@@ -211,9 +214,9 @@ TEST_F(DatasetTest, OutcomesMatchPinnedReference) {
     uint64_t hash;
   };
   const Pin pins[] = {
-      {"5T-OTA", 40, 400, 0, 360, 0, 0x2acca2997765b5aaULL},
-      {"CM-OTA", 20, 559, 0, 530, 9, 0x6a42f661f857c7f2ULL},
-      {"2S-OTA", 10, 145, 0, 135, 0, 0xbabc48f7ed434b25ULL},
+      {"5T-OTA", 40, 400, 0, 360, 0, 0x64446b14b22911c1ULL},
+      {"CM-OTA", 20, 559, 0, 530, 9, 0x6c2bce1dde14faf9ULL},
+      {"2S-OTA", 10, 145, 0, 135, 0, 0x331fc05fc223f5d1ULL},
   };
   for (const Pin& p : pins) {
     for (int threads : {1, 4}) {

@@ -61,7 +61,7 @@ TEST_F(MeasureTest, PassiveAttenuatorHasNoUgf) {
   EXPECT_GT(m.bw_3db_hz, 0.0);
 }
 
-TEST_F(MeasureTest, FindFallingCrossingBracketsCorrectly) {
+TEST_F(MeasureTest, RcCornerBracketsCorrectly) {
   Netlist nl;
   nl.add_vsource("V1", "in", "0", 0.0, 1.0);
   nl.add_resistor("R1", "in", "out", 1e3);
@@ -69,11 +69,15 @@ TEST_F(MeasureTest, FindFallingCrossingBracketsCorrectly) {
   const DcSolution dc = solve_dc(nl, tech);
   const AcAnalysis ac(nl, tech, dc);
   const double fc = 1.0 / (2.0 * std::numbers::pi * 1e-6);
-  auto crossing = find_falling_crossing(ac, "out", 1.0 / std::numbers::sqrt2);
-  ASSERT_TRUE(crossing.has_value());
-  EXPECT_NEAR(*crossing, fc, fc * 1e-3);
-  // A target above the DC magnitude has no falling crossing.
-  EXPECT_FALSE(find_falling_crossing(ac, "out", 2.0).has_value());
+  const AcMetrics m = measure_ac(ac, "out");
+  // The -3 dB crossing of a unity-gain RC low-pass is its corner.
+  EXPECT_NEAR(m.gain_linear, 1.0, 1e-9);
+  EXPECT_NEAR(m.bw_3db_hz, fc, fc * 1e-3);
+  // The unity target sits above the DC magnitude: no falling crossing, so
+  // neither a UGF nor a phase margin.
+  EXPECT_LT(m.gain_linear, 1.0);
+  EXPECT_EQ(m.ugf_hz, 0.0);
+  EXPECT_EQ(m.phase_margin_deg, 0.0);
 }
 
 TEST_F(MeasureTest, EvaluateFiveTransistorOtaEndToEnd) {
